@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .engine import EnergyValue, QaoaParams, dense_oracle, evolve, \
+from .engine import Circuit, EnergyValue, QaoaParams, evolve, \
     expectation_exact, expectation_sampled, landscape_grid
 from .errors import BudgetExhaustedError, ConfigError, DomainError, \
     QaoaBenchError, ResourceLimitError
@@ -12,10 +12,10 @@ from .objective import MeteredObjective, OptResult
 
 __all__ = [
     "__version__",
-    "BudgetExhaustedError", "ConfigError", "DomainError", "EnergyValue",
-    "Graph", "InstanceSpec", "MeteredObjective", "OptResult", "QaoaParams",
-    "QaoaBenchError", "ResourceLimitError",
-    "build_test_set", "build_train_set", "dense_oracle", "evolve",
+    "BudgetExhaustedError", "Circuit", "ConfigError", "DomainError",
+    "EnergyValue", "Graph", "InstanceSpec", "MeteredObjective", "OptResult",
+    "QaoaParams", "QaoaBenchError", "ResourceLimitError",
+    "build_test_set", "build_train_set", "evolve",
     "expectation_exact", "expectation_sampled", "instance_id",
     "landscape_grid", "max_cut_bruteforce", "realize", "spec_from_id",
     "suite",

@@ -13,7 +13,7 @@ import numpy as np
 from .engine import QaoaParams, landscape_grid
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
-from .objective import MeteredObjective, OptResult, result_from_trace
+from .objective import MeteredObjective, OptResult
 from .seeding import stream_rng
 
 NM_ALPHA = 1.0     # reflection
@@ -35,9 +35,7 @@ def random_search(obj: MeteredObjective, seed: int) -> OptResult:
     start = len(obj.trace)
     while obj.remaining > 0:
         obj(QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, d)))
-    res = result_from_trace(obj.trace[start:])
-    res.best_exact = obj.exact_value(res.best_params)
-    return res
+    return obj.result(since=start)
 
 
 def _simplex_diameter(points: np.ndarray) -> float:
@@ -101,9 +99,7 @@ def nelder_mead(obj: MeteredObjective, x0: QaoaParams, seed: int = 0) -> OptResu
                         vals[i] = g(pts[i])
     except BudgetExhaustedError:
         pass
-    res = result_from_trace(obj.trace[start:])
-    res.best_exact = obj.exact_value(res.best_params)
-    return res
+    return obj.result(since=start)
 
 
 def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaParams]:

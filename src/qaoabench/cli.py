@@ -21,7 +21,7 @@ from . import __version__
 from .baselines import grid_oracle_best, multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
-from .engine import expectation_exact, landscape_grid
+from .engine import Circuit, landscape_grid
 from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
@@ -207,7 +207,8 @@ def cmd_build_sstar(args, config) -> int:
             iid = instance_id(spec)
             admitted = multistart_collect(
                 g, p, starts, derive_seed(seed, "sstar", iid, p))
-            best = max(expectation_exact(g, q).mean for q in admitted)
+            circuit = Circuit(g)
+            best = max(circuit.energy(q).mean for q in admitted)
             entries.append({"instance_id": iid, "p": p,
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})

@@ -21,7 +21,6 @@ from .graphs import Graph
 from .seeding import stream_rng
 
 SIM_MAX_N = 24
-DENSE_MAX_N = 6
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,49 +84,60 @@ def cut_diagonal(g: Graph) -> np.ndarray:
     return kernels.cut_diagonal(g.n, g.edge_array())
 
 
-def _evolve_amps(n: int, cuts: np.ndarray, params: QaoaParams) -> np.ndarray:
-    """Apply all p layers to the uniform state; returns fresh amplitudes."""
-    size = 1 << n
-    amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    cmax = int(cuts.max()) if size else 0
-    levels = np.arange(cmax + 1, dtype=np.float64)
-    for k in range(params.p):
-        table = np.exp(-1j * params.gammas[k] * levels)
-        kernels.apply_phase(amps, cuts, table)
-        beta = params.betas[k]
-        kernels.apply_mixer(amps, n, math.cos(beta), -1j * math.sin(beta))
-    return amps
+class Circuit:
+    """The ansatz of one graph, compiled for repeated evaluation at any depth.
+
+    Holds the cut diagonal and the phase levels 0..max cut, both built once.
+    Every energy in the package is computed here.  Kernels are looked up on
+    the `kernels` module at call time, never bound to a local name.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.cuts = cut_diagonal(g)
+        self.levels = np.arange(int(self.cuts.max()) + 1, dtype=np.float64)
+
+    def evolve(self, params: QaoaParams) -> np.ndarray:
+        """Apply all p layers to the uniform state; returns fresh amplitudes."""
+        size = self.cuts.size
+        amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+        for k in range(params.p):
+            table = np.exp(-1j * params.gammas[k] * self.levels)
+            kernels.apply_phase(amps, self.cuts, table)
+            beta = params.betas[k]
+            kernels.apply_mixer(amps, self.n, math.cos(beta),
+                                -1j * math.sin(beta))
+        return amps
+
+    def energy(self, params: QaoaParams, shots: int | None = None,
+               rng=None) -> EnergyValue:
+        """Exact expected cut size, or the mean of `shots` measurements
+        drawn with `rng`."""
+        amps = self.evolve(params)
+        probs = amps.real**2 + amps.imag**2
+        if shots is None:
+            # np.sum reduces pairwise, which keeps the error well under 1e-10
+            # even for 2^20 terms; np.dot would go through BLAS with no such
+            # bound.
+            return EnergyValue(mean=float(np.sum(probs * self.cuts)))
+        probs /= probs.sum()
+        counts = rng.multinomial(shots, probs)
+        mean = float(np.sum(counts * self.cuts) / shots)
+        if shots > 1:
+            var = float(np.sum(counts * (self.cuts - mean) ** 2) / (shots - 1))
+        else:
+            var = 0.0
+        return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
 
 
 def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
     """Statevector after the depth-p circuit (2^n complex amplitudes)."""
-    return _evolve_amps(g.n, cut_diagonal(g), params)
-
-
-def _expectation_from_amps(amps: np.ndarray, cuts: np.ndarray) -> float:
-    probs = amps.real**2 + amps.imag**2
-    # np.sum reduces pairwise, which keeps the error well under 1e-10
-    # even for 2^20 terms; np.dot would go through BLAS with no such bound.
-    return float(np.sum(probs * cuts))
+    return Circuit(g).evolve(params)
 
 
 def expectation_exact(g: Graph, params: QaoaParams) -> EnergyValue:
     """Exact expected cut size of the evolved state."""
-    cuts = cut_diagonal(g)
-    amps = _evolve_amps(g.n, cuts, params)
-    return EnergyValue(mean=_expectation_from_amps(amps, cuts))
-
-
-def _sampled_from_amps(amps, cuts, shots, rng) -> EnergyValue:
-    probs = amps.real**2 + amps.imag**2
-    probs /= probs.sum()
-    counts = rng.multinomial(shots, probs)
-    mean = float(np.sum(counts * cuts) / shots)
-    if shots > 1:
-        var = float(np.sum(counts * (cuts - mean) ** 2) / (shots - 1))
-    else:
-        var = 0.0
-    return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
+    return Circuit(g).energy(params)
 
 
 def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
@@ -135,9 +145,7 @@ def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
     """Energy from `shots` simulated measurements; deterministic per seed."""
     if shots < 1:
         raise DomainError("shots must be >= 1; use expectation_exact for exact")
-    cuts = cut_diagonal(g)
-    amps = _evolve_amps(g.n, cuts, params)
-    return _sampled_from_amps(amps, cuts, shots, stream_rng(seed, "shots"))
+    return Circuit(g).energy(params, shots, stream_rng(seed, "shots"))
 
 
 @dataclass
@@ -166,42 +174,14 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     axis = np.linspace(-math.pi, math.pi, resolution)
-    cuts = cut_diagonal(g)
+    circuit = Circuit(g)
     mean = np.zeros((resolution, resolution))
     stderr = np.zeros((resolution, resolution))
     for i, beta in enumerate(axis):
         for j, gamma in enumerate(axis):
-            amps = _evolve_amps(g.n, cuts, QaoaParams([beta], [gamma]))
-            if shots is None:
-                mean[i, j] = _expectation_from_amps(amps, cuts)
-            else:
-                ev = _sampled_from_amps(amps, cuts, shots,
-                                        stream_rng(seed, "landscape", i, j))
-                mean[i, j] = ev.mean
-                stderr[i, j] = ev.stderr
+            rng = None if shots is None else stream_rng(seed, "landscape", i, j)
+            ev = circuit.energy(QaoaParams([beta], [gamma]), shots, rng)
+            mean[i, j] = ev.mean
+            stderr[i, j] = ev.stderr
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),
                          mean=mean, stderr=stderr)
-
-
-def dense_oracle(g: Graph, params: QaoaParams) -> np.ndarray:
-    """Reference evolution through explicit 2^n x 2^n operators.
-
-    Builds exp(-i*gamma*H_C) directly from the diagonal and
-    exp(-i*beta*H_M) by eigendecomposition of the dense mixer matrix.
-    Intentionally independent of the pair-rotation fast path; n <= 6 only.
-    """
-    if g.n > DENSE_MAX_N:
-        raise ResourceLimitError(
-            f"dense oracle capped at n={DENSE_MAX_N}, got n={g.n}")
-    size = 1 << g.n
-    cuts = cut_diagonal(g).astype(np.float64)
-    mixer = np.zeros((size, size))
-    for z in range(size):
-        for q in range(g.n):
-            mixer[z, z ^ (1 << q)] += 1.0
-    w, v = np.linalg.eigh(mixer)
-    psi = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-    for k in range(params.p):
-        psi = np.exp(-1j * params.gammas[k] * cuts) * psi
-        psi = v @ (np.exp(-1j * params.betas[k] * w) * (v.conj().T @ psi))
-    return psi

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .kernels import bruteforce_best, cut_diagonal
+from .kernels import bruteforce_best
 from .seeding import stream_rng
 
 BRUTEFORCE_MAX_N = 24

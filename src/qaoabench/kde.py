@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import QaoaParams, wrap_angles
 from .errors import DomainError
-from .objective import MeteredObjective, OptResult, result_from_trace
+from .objective import MeteredObjective, OptResult
 from .seeding import stream_rng
 
 BANDWIDTH_FLOOR = 0.01
@@ -117,9 +117,7 @@ def kde_optimize(obj: MeteredObjective, model: KdeModel, seed: int) -> OptResult
     start = len(obj.trace)
     for params in kde_sample(model, obj.remaining, seed):
         obj(params)
-    res = result_from_trace(obj.trace[start:])
-    res.best_exact = obj.exact_value(res.best_params)
-    return res
+    return obj.result(since=start)
 
 
 def kde_save(model: KdeModel, path) -> None:

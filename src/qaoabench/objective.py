@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EnergyValue, QaoaParams, _expectation_from_amps, \
-    _evolve_amps, _sampled_from_amps, cut_diagonal
+from .engine import Circuit, EnergyValue, QaoaParams
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import stream_rng
@@ -45,7 +44,7 @@ class MeteredObjective:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         self._fn = fn
-        self._exact_scorer = None
+        self.circuit = None
         self.graph = None
         self.budget = budget
         self.depth = depth
@@ -57,20 +56,11 @@ class MeteredObjective:
     @classmethod
     def for_graph(cls, g: Graph, depth: int, budget: int,
                   shots: int | None = None, seed: int = 0) -> "MeteredObjective":
-        """Meter the energy of `g`; cut diagonal is computed once."""
-        cuts = cut_diagonal(g)
-        n = g.n
-
-        def fn(params: QaoaParams, shots_, rng) -> EnergyValue:
-            amps = _evolve_amps(n, cuts, params)
-            if shots_ is None:
-                return EnergyValue(mean=_expectation_from_amps(amps, cuts))
-            return _sampled_from_amps(amps, cuts, shots_, rng)
-
-        obj = cls(fn, budget, depth=depth, shots=shots, seed=seed)
+        """Meter the energy of `g`; the circuit is compiled once."""
+        circuit = Circuit(g)
+        obj = cls(circuit.energy, budget, depth=depth, shots=shots, seed=seed)
         obj.graph = g
-        obj._exact_scorer = lambda params: _expectation_from_amps(
-            _evolve_amps(n, cuts, params), cuts)
+        obj.circuit = circuit
         return obj
 
     @classmethod
@@ -99,21 +89,21 @@ class MeteredObjective:
         return value
 
     def exact_value(self, params: QaoaParams) -> float | None:
-        """Exact energy at `params`, outside the budget; None if unknowable."""
-        if self._exact_scorer is not None:
-            return float(self._exact_scorer(params))
-        if self.shots is None:
-            # exact mode: a metered value *is* the exact value, but re-scoring
-            # an arbitrary point needs the underlying graph
+        """Exact energy at `params`, outside the budget; None for
+        `for_function` objectives, which have no circuit."""
+        if self.circuit is None:
             return None
-        return None
+        return self.circuit.energy(params).mean
 
-    def result(self) -> OptResult:
-        """Best-ever point over the trace (first occurrence wins ties)."""
-        res = result_from_trace(self.trace)
-        res.best_exact = self.exact_value(res.best_params)
-        if res.best_exact is None and self.shots is None:
-            res.best_exact = res.best_value
+    def result(self, since: int = 0) -> OptResult:
+        """Best-ever point over trace[since:] (first occurrence wins ties).
+
+        Every optimizer run ends here.  `best_exact` is the metered value
+        itself in exact mode and an exact re-score in sampled mode.
+        """
+        res = result_from_trace(self.trace[since:])
+        res.best_exact = (res.best_value if self.shots is None
+                          else self.exact_value(res.best_params))
         return res
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import QaoaParams, _evolve_amps, _expectation_from_amps, \
-    cut_diagonal
-from .errors import DomainError
+from .engine import Circuit, QaoaParams
+from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
 from .objective import MeteredObjective, OptResult, result_from_trace
@@ -96,11 +95,11 @@ def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
     if not g.edges:
         return 1.0
     rng = stream_rng(seed, "normalizer")
-    cuts = cut_diagonal(g)
+    circuit = Circuit(g)
     total = 0.0
     for _ in range(n_probe):
         params = QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2 * p))
-        total += _expectation_from_amps(_evolve_amps(g.n, cuts, params), cuts)
+        total += circuit.energy(params).mean
     return total / n_probe
 
 
@@ -235,8 +234,14 @@ class PpoConfig:
             raise DomainError(f"discount must be in (0,1], got {self.discount}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise DomainError(f"gae_lambda must be in [0,1], got {self.gae_lambda}")
-        if self.max_passes < 1 or self.epochs < 1 or self.episodes_per_epoch < 1:
-            raise DomainError("pass/epoch/episode counts must be >= 1")
+        if (self.max_passes < 1 or self.epochs < 1
+                or self.episodes_per_epoch < 1 or self.episode_len < 1):
+            raise DomainError("pass/epoch/episode/step counts must be >= 1")
+        if not (self.actor_lr > 0 and self.critic_lr > 0):
+            raise DomainError(f"learning rates must be > 0, got actor "
+                              f"{self.actor_lr}, critic {self.critic_lr}")
+        if not self.kl_stop > 0:
+            raise DomainError(f"kl_stop must be > 0, got {self.kl_stop}")
 
 
 def gae_advantages(traj: Trajectory, discount: float, lam: float) -> np.ndarray:
@@ -402,9 +407,7 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
                             obj)
     phase1 = result_from_trace(obj.trace[trace_base:])
     nelder_mead(obj, phase1.best_params)
-    res = result_from_trace(obj.trace[trace_base:])
-    res.best_exact = obj.exact_value(res.best_params)
-    return res
+    return obj.result(since=trace_base)
 
 
 def save_policy(bundle: PolicyBundle, path) -> None:
@@ -435,8 +438,17 @@ def load_policy(path) -> PolicyBundle:
         return Mlp(weights=weights, biases=biases, head=head, scale=scale)
 
     scale = float(payload["arch"].get("scale", ACTION_BOUND))
-    return PolicyBundle(
+    bundle = PolicyBundle(
         actor=build(payload["actor_weights"], "scaled_tanh", scale),
         critic=build(payload["critic_weights"], "linear", 1.0),
         depth=int(payload["p"]),
         noise_variance=float(payload.get("noise_variance", NOISE_VARIANCE)))
+    p, dim = bundle.depth, state_dim(bundle.depth)
+    for name, net, want in (("actor", bundle.actor, (dim, 2 * p)),
+                            ("critic", bundle.critic, (dim, 1))):
+        got = (net.sizes[0], net.sizes[-1])
+        if got != want:
+            raise ConfigError(
+                f"{path}: {name} maps {got[0]} -> {got[1]}, but a p={p} "
+                f"policy needs {want[0]} -> {want[1]}")
+    return bundle

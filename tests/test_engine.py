@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
                       dense_reference, random_graph)
 from qaoabench.engine import (
+    Circuit,
     EnergyValue,
     LandscapeGrid,
     QaoaParams,
     cut_diagonal,
-    dense_oracle,
     evolve,
     expectation_exact,
     expectation_sampled,
@@ -22,6 +22,7 @@ from qaoabench.engine import (
 )
 from qaoabench.errors import DomainError, ResourceLimitError
 from qaoabench.graphs import Graph, gen_caveman, gen_erdos_renyi, gen_ladder
+from qaoabench.seeding import stream_rng
 
 
 K2 = Graph(2, ((0, 1),))
@@ -151,18 +152,21 @@ def test_evolve_matches_dense_reference():
             assert np.max(np.abs(fast - ref)) < 1e-10
 
 
-def test_evolve_matches_dense_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        g = random_graph(rng, 2, 6)
-        params = QaoaParams(rng.uniform(-math.pi, math.pi, 2),
-                            rng.uniform(-math.pi, math.pi, 2))
-        assert np.max(np.abs(evolve(g, params) - dense_oracle(g, params))) < 1e-10
-
-
-def test_dense_oracle_size_cap():
-    with pytest.raises(ResourceLimitError):
-        dense_oracle(gen_erdos_renyi(7, 0.5, 0), QaoaParams([0.1], [0.1]))
+def test_circuit_energy_is_the_public_energies():
+    rng = np.random.default_rng(29)
+    for p in (1, 2):
+        g = random_graph(rng, 3, 8)
+        circuit = Circuit(g)
+        assert circuit.n == g.n
+        np.testing.assert_array_equal(circuit.levels,
+                                      np.arange(max(cuts_py(g.n, g.edges)) + 1))
+        params = QaoaParams(rng.uniform(-math.pi, math.pi, p),
+                            rng.uniform(-math.pi, math.pi, p))
+        assert circuit.energy(params) == expectation_exact(g, params)
+        np.testing.assert_array_equal(circuit.evolve(params), evolve(g, params))
+        # the substream expectation_sampled draws from
+        assert circuit.energy(params, 256, stream_rng(5, "shots")) == \
+            expectation_sampled(g, params, 256, seed=5)
 
 
 def test_single_edge_closed_form():

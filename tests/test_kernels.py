@@ -1,52 +1,13 @@
-"""Backend parity: the dispatched kernels must match the numpy reference."""
-
-import math
-import os
-import subprocess
-import sys
+"""Kernels that the engine's tests do not reach through a Graph."""
 
 import numpy as np
 
-from conftest import random_graph
+from conftest import cuts_py, random_graph
 from qaoabench import kernels
 
 
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.HAVE_NUMBA:
-        assert kernels.BACKEND == "numba"
-
-
-def test_cut_diagonal_parity():
-    rng = np.random.default_rng(1)
-    for _ in range(8):
-        g = random_graph(rng, 2, 10)
-        edges = g.edge_array()
-        np.testing.assert_array_equal(kernels.cut_diagonal(g.n, edges),
-                                      kernels.cut_diagonal_numpy(g.n, edges))
-
-
-def test_apply_phase_parity():
-    rng = np.random.default_rng(2)
-    for n in (3, 6, 9):
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        cuts = rng.integers(0, 5, size=1 << n).astype(np.int32)
-        table = np.exp(-1j * 0.37 * np.arange(5))
-        a, b = amps.copy(), amps.copy()
-        kernels.apply_phase(a, cuts, table)
-        kernels.apply_phase_numpy(b, cuts, table)
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
-
-def test_apply_mixer_parity():
-    rng = np.random.default_rng(3)
-    for n in (2, 5, 8):
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        beta = 0.81
-        a, b = amps.copy(), amps.copy()
-        kernels.apply_mixer(a, n, math.cos(beta), -1j * math.sin(beta))
-        kernels.apply_mixer_numpy(b, n, math.cos(beta), -1j * math.sin(beta))
-        np.testing.assert_allclose(a, b, atol=1e-14)
+    assert kernels.BACKEND == "numpy"
 
 
 def test_bruteforce_parity_and_chunking():
@@ -54,16 +15,7 @@ def test_bruteforce_parity_and_chunking():
     for _ in range(6):
         g = random_graph(rng, 2, 12)
         edges = g.edge_array()
-        assert kernels.bruteforce_best(g.n, edges) == \
-            kernels.bruteforce_numpy(g.n, edges)
+        value, z = kernels.bruteforce_best(g.n, edges, chunk=64)
         # chunked scan must agree with a single-chunk scan
-        assert kernels.bruteforce_numpy(g.n, edges, chunk=64) == \
-            kernels.bruteforce_numpy(g.n, edges, chunk=1 << 20)
-
-
-def test_disable_flag_forces_numpy_backend():
-    env = dict(os.environ, QAOABENCH_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from qaoabench import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+        assert (value, z) == kernels.bruteforce_best(g.n, edges, chunk=1 << 20)
+        assert value == max(cuts_py(g.n, g.edges))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaoabench.baselines import nelder_mead, random_search
 from qaoabench.engine import QaoaParams, expectation_exact
 from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
+from qaoabench.kde import kde_fit, kde_optimize
 from qaoabench.objective import MeteredObjective, result_from_trace
 
 
@@ -65,13 +67,25 @@ def test_noise_is_reproducible_and_per_call():
 
 
 def test_result_exact_mode():
-    obj = MeteredObjective.for_graph(gen_ladder(2), depth=1, budget=8)
-    for b in (0.1, 0.9, 0.4):
-        obj(QaoaParams([b], [0.8]))
+    g = gen_ladder(2)
+    obj = MeteredObjective.for_graph(g, depth=1, budget=8)
+    points = [QaoaParams([b], [0.8]) for b in (0.1, 0.9, 0.4)]
+    # best point first, so that since=1 has to skip it
+    points.sort(key=lambda q: -expectation_exact(g, q).mean)
+    for q in points:
+        obj(q)
     res = obj.result()
     assert res.evals_used == 3
+    assert res.best_params is points[0]
     assert res.best_value == max(ev.mean for _, ev in obj.trace)
     assert res.best_exact == res.best_value
+    assert res.best_exact == expectation_exact(g, res.best_params).mean
+    tail = obj.result(since=1)
+    assert tail.evals_used == 2
+    assert tail.trace == obj.trace[1:]
+    assert tail.best_params is points[1]
+    assert tail.best_value == obj.trace[1][1].mean < res.best_value
+    assert tail.best_exact == tail.best_value
 
 
 def test_result_sampled_mode_rescored_exactly():
@@ -82,6 +96,12 @@ def test_result_sampled_mode_rescored_exactly():
     res = obj.result()
     assert res.best_exact == expectation_exact(g, res.best_params).mean
     assert obj.calls == 3  # re-scoring did not consume budget
+    tail = obj.result(since=1)
+    assert tail.evals_used == 2
+    assert tail.best_params in (obj.trace[1][0], obj.trace[2][0])
+    assert tail.best_value == max(obj.trace[1][1].mean, obj.trace[2][1].mean)
+    assert tail.best_exact == expectation_exact(g, tail.best_params).mean
+    assert obj.calls == 3
 
 
 def test_result_from_trace_first_tie_wins():
@@ -107,6 +127,20 @@ def test_for_function_hook():
     assert obj.depth == 2
     assert obj.graph is None
     assert obj.exact_value(P0) is None
+
+
+def test_optimizers_on_function_objectives_report_best_exact():
+    def fn(p):
+        return -float(np.sum(p.vector() ** 2))
+
+    runs = [random_search(MeteredObjective.for_function(fn, 12), seed=3),
+            nelder_mead(MeteredObjective.for_function(fn, 12),
+                        QaoaParams([0.5], [-0.5])),
+            kde_optimize(MeteredObjective.for_function(fn, 12),
+                         kde_fit([[0.1, 0.2], [0.3, -0.1]]), seed=3)]
+    for res in runs:
+        assert res.best_exact is not None
+        assert res.best_exact == res.best_value
 
 
 def test_depth_attribute_used_by_optimizers():

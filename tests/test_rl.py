@@ -1,5 +1,6 @@
 """Learned-optimizer stack: environment, policy, PPO, test-time search."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import stats
 
 from qaoabench.engine import QaoaParams, expectation_exact
-from qaoabench.errors import BudgetExhaustedError, DomainError
+from qaoabench.errors import BudgetExhaustedError, ConfigError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.nets import Adam
 from qaoabench.objective import MeteredObjective
@@ -488,3 +489,30 @@ def test_save_load_round_trip(tmp_path):
     x = np.random.default_rng(0).normal(size=state_dim(2))
     np.testing.assert_array_equal(policy_forward(bundle, x)[0],
                                   policy_forward(back, x)[0])
+
+
+@pytest.mark.parametrize("bad", [
+    {"episode_len": 0}, {"actor_lr": 0.0}, {"actor_lr": -1e-3},
+    {"critic_lr": 0.0}, {"kl_stop": 0.0}, {"kl_stop": -0.1},
+])
+def test_ppo_config_rejects_degenerate_settings(bad):
+    with pytest.raises(DomainError):
+        PpoConfig(**bad)
+
+
+def test_load_policy_rejects_a_depth_its_layers_do_not_fit(tmp_path):
+    path = tmp_path / "policy.json"
+    save_policy(init_policy(1, seed=3), path)
+    payload = json.loads(path.read_text())
+    payload["p"] = 2
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="policy.json"):
+        load_policy(path)
+    # a critic head of the wrong width fails too
+    save_policy(init_policy(1, seed=3), path)
+    payload = json.loads(path.read_text())
+    w, b = payload["critic_weights"][-1]
+    payload["critic_weights"][-1] = [[row * 2 for row in w], b * 2]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="critic"):
+        load_policy(path)

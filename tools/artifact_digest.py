@@ -1,0 +1,76 @@
+"""Digest of every artifact of a desk-scale pipeline run.
+
+Runs build-sstar, build-kde, train-rl, landscape, a sampled bench and an
+exact bench through `qaoabench.cli.main` into a temporary directory, then
+prints one sha256 per artifact and a combined digest over all of them.
+`manifest.json` files are left out: they name their input paths, which
+differ between checkouts.  A refactor that is meant to change no result
+must print the same combined digest before and after.
+
+    python3 tools/artifact_digest.py
+
+The package is imported from the `src/` directory next to this script.
+"""
+
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qaoabench.cli import main  # noqa: E402
+
+
+def pipeline(root: Path):
+    """The CLI argument lists, in run order."""
+    sstar, models, policy = root / "sstar", root / "models", root / "policy"
+    bench_size = ["--max-n", "8", "--attempts", "2", "--budget", "48"]
+    return [
+        ["build-sstar", "--p", "1,2", "--starts", "5", "--out", str(sstar)],
+        ["build-kde", "--sstar", str(sstar / "sstar-p1.json"),
+         "--sstar", str(sstar / "sstar-p2.json"), "--out", str(models)],
+        ["train-rl", "--p", "1", "--epochs", "2", "--episodes", "4",
+         "--steps", "16", "--probe", "20", "--out", str(policy)],
+        ["landscape", "--instance", "L-n3", "--resolution", "16",
+         "--out", str(root / "landscape")],
+        ["bench", "--p", "1", *bench_size,
+         "--kde", str(models / "kde-p1.json"),
+         "--policy", str(policy / "policy-p1.json"),
+         "--out", str(root / "bench-sampled")],
+        ["bench", "--exact", "--p", "1,2", "--roster", "random,nm,kde",
+         *bench_size, "--kde", str(models / "kde-p1.json"),
+         "--kde", str(models / "kde-p2.json"),
+         "--out", str(root / "bench-exact")],
+    ]
+
+
+def sha256_file(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main_digest() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for argv in pipeline(root):
+            # the stages report progress on stdout; keep stdout for digests
+            with contextlib.redirect_stdout(sys.stderr):
+                status = main(argv)
+            if status:
+                print(f"stage {argv[0]} failed", file=sys.stderr)
+                return status
+        combined = hashlib.sha256()
+        for path in sorted(root.rglob("*")):
+            if not path.is_file() or path.name == "manifest.json":
+                continue
+            rel = path.relative_to(root).as_posix()
+            digest = sha256_file(path)
+            combined.update(f"{rel} {digest}\n".encode())
+            print(f"{digest}  {rel}")
+        print(f"combined {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
