@@ -45,14 +45,13 @@ def _simplex_diameter(points: np.ndarray) -> float:
     return diam
 
 
-def nelder_mead(obj: MeteredObjective, x0: QaoaParams, seed: int = 0) -> OptResult:
+def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
     """Simplex search maximizing the metered objective from x0.
 
     Classic coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5);
     the initial simplex offsets each coordinate of x0 by +0.25 rad.  Stops
     when the budget runs out or the simplex diameter drops below 1e-4, and
-    returns the best point this run evaluated.  `seed` is accepted for
-    signature uniformity across optimizers; the method is deterministic.
+    returns the best point this run evaluated.  The method is deterministic.
     """
     d = 2 * x0.p
     if obj.remaining < d + 2:

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
 
-import numpy as np
-
 from .baselines import nelder_mead, random_search
 from .engine import QaoaParams
 from .errors import ConfigError, DomainError
-from .graphs import group_of, instance_id, max_cut_bruteforce, realize, \
-    spec_from_id
+from .graphs import BRUTEFORCE_MAX_N, group_of, instance_id, \
+    max_cut_bruteforce, realize, spec_from_id
 from .kde import kde_optimize
 from .objective import MeteredObjective
 from .rl import rl_optimize
@@ -33,7 +31,6 @@ TAU_SCHEMA = "qaoabench-tau-v1"
 METRICS_SCHEMA = "qaoabench-metrics-v1"
 
 ROSTER = ("random", "nm", "kde", "rl")
-START_CONSUMING = ("nm", "rl")
 LEARNED = ("kde", "rl")
 
 
@@ -253,11 +250,11 @@ def approximation_ratios(records, cut_values: dict) -> dict:
     return {key: float(median(vals)) for key, vals in sorted(buckets.items())}
 
 
-def suite_cut_values(suite, cap: int = 24) -> dict:
-    """Brute-force max cuts for every instance with n <= cap."""
+def suite_cut_values(suite) -> dict:
+    """Brute-force max cuts for every instance small enough to enumerate."""
     out = {}
     for spec, g in suite:
-        if g.n <= cap:
+        if g.n <= BRUTEFORCE_MAX_N:
             out[instance_id(spec)] = float(max_cut_bruteforce(g).value)
     return out
 
@@ -361,24 +358,27 @@ def read_metrics(path) -> MetricsTable:
 
 
 def read_records(path) -> list:
-    records = []
+    """Records from a records.csv that export_report wrote."""
     with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != f"# {RECORDS_SCHEMA}":
+            raise ConfigError(f"{path}: not a records file (first line "
+                              f"{header!r}, expected '# {RECORDS_SCHEMA}')")
         lines = [ln for ln in fh if not ln.startswith("#")]
-    for row in csv.DictReader(lines):
-        records.append(BenchRecord(
+    try:
+        return [BenchRecord(
             instance=row["instance"], group=row["group"], depth=int(row["p"]),
             optimizer=row["optimizer"], attempt=int(row["attempt"]),
             best_value=float(row["best_value"]),
             best_exact=float(row["best_exact"]),
-            evals_used=int(row["evals_used"])))
-    return records
+            evals_used=int(row["evals_used"]))
+            for row in csv.DictReader(lines)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed record row "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
-def records_cut_values(records, cap: int = 24) -> dict:
+def records_cut_values(records) -> dict:
     """Recompute brute-force cuts for the instances named in records."""
-    out = {}
-    for iid in sorted({r.instance for r in records}):
-        g = realize(spec_from_id(iid))
-        if g.n <= cap:
-            out[iid] = float(max_cut_bruteforce(g).value)
-    return out
+    specs = [spec_from_id(iid) for iid in sorted({r.instance for r in records})]
+    return suite_cut_values([(spec, realize(spec)) for spec in specs])

@@ -11,21 +11,17 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .baselines import grid_oracle_best, multistart_collect
+from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
 from .engine import Circuit, landscape_grid
-from .errors import ConfigError, QaoaBenchError
+from .errors import ConfigError, QaoaBenchError, read_artifact
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
-from .objective import MeteredObjective
 from .rl import PpoConfig, load_policy, save_policy, train
 from .seeding import derive_seed
 
@@ -228,13 +224,15 @@ def cmd_build_sstar(args, config) -> int:
 
 def read_sstar(path) -> tuple:
     """Returns (p, pooled parameter vectors) from a build-sstar file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != SSTAR_SCHEMA:
-        raise ConfigError(f"{path}: unexpected schema "
-                          f"{payload.get('schema')!r}")
-    pooled = [vec for e in payload["entries"] for vec in e["admitted"]]
-    return int(payload["p"]), pooled
+
+    def build(payload):
+        if payload.get("schema") != SSTAR_SCHEMA:
+            raise ConfigError(f"{path}: unexpected schema "
+                              f"{payload.get('schema')!r}")
+        pooled = [vec for e in payload["entries"] for vec in e["admitted"]]
+        return int(payload["p"]), pooled
+
+    return read_artifact(path, "S*", build)
 
 
 def cmd_build_kde(args, config) -> int:

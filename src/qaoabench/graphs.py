@@ -6,7 +6,7 @@ across platforms.  Vertices are 0..n-1 and every edge is stored as (u, v)
 with u < v.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

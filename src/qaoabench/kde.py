@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import QaoaParams, wrap_angles
-from .errors import DomainError
+from .errors import DomainError, read_artifact
 from .objective import MeteredObjective, OptResult
 from .seeding import stream_rng
 
@@ -129,8 +129,6 @@ def kde_save(model: KdeModel, path) -> None:
 
 
 def kde_load(path) -> KdeModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return KdeModel(centers=np.asarray(payload["centers"], dtype=np.float64),
-                    bandwidth=float(payload["omega"]),
-                    depth=int(payload["p"]))
+    return read_artifact(path, "KDE model", lambda payload: KdeModel(
+        centers=np.asarray(payload["centers"], dtype=np.float64),
+        bandwidth=float(payload["omega"]), depth=int(payload["p"])))

@@ -7,7 +7,7 @@ optimizer consumes; correctness is pinned by finite-difference tests.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

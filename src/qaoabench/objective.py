@@ -6,9 +6,7 @@ evaluate once the budget is gone.  Attempt-level comparisons stay fair
 because nothing can sneak extra circuit evaluations.
 """
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .engine import Circuit, EnergyValue, QaoaParams
 from .errors import BudgetExhaustedError, DomainError

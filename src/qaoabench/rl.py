@@ -10,12 +10,12 @@ the best point found with the other half.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import Circuit, QaoaParams
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, read_artifact
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
 from .objective import MeteredObjective, OptResult, result_from_trace
@@ -112,6 +112,11 @@ class PolicyBundle:
     depth: int
     noise_variance: float = NOISE_VARIANCE
 
+    def __post_init__(self):
+        if not self.noise_variance > 0:
+            raise DomainError(f"noise_variance must be > 0, got "
+                              f"{self.noise_variance}")
+
     def copy(self) -> "PolicyBundle":
         return PolicyBundle(actor=self.actor.copy(), critic=self.critic.copy(),
                             depth=self.depth,
@@ -127,15 +132,6 @@ def init_policy(p: int, seed: int) -> PolicyBundle:
     return PolicyBundle(actor=actor, critic=critic, depth=p)
 
 
-def policy_forward(bundle: PolicyBundle, state):
-    """Deterministic (mean action, value estimate) for one state."""
-    x = state.flatten() if isinstance(state, EnvState) else \
-        np.asarray(state, dtype=np.float64)
-    mean = bundle.actor(x)
-    value = float(bundle.critic(x)[0])
-    return mean, value
-
-
 def gaussian_logp(action, mean, variance: float):
     """Log density of an isotropic Gaussian; supports (d,) or (B, d)."""
     diff = np.asarray(action, float) - np.asarray(mean, float)
@@ -144,27 +140,19 @@ def gaussian_logp(action, mean, variance: float):
     return -0.5 * (sq / variance + d * math.log(2.0 * math.pi * variance))
 
 
-def sample_action(bundle: PolicyBundle, state, seed):
-    """Draw mean + N(0, noise_variance I), clamp to the action box.
+def sample_action(bundle: PolicyBundle, x: np.ndarray,
+                  rng: np.random.Generator):
+    """Draw actor(x) + N(0, noise_variance I), clamp to the action box.
 
     The log-probability is the plain Gaussian density at the action that is
     actually kept, so recomputing it from a stored (state, action) pair
     under unchanged weights reproduces it exactly.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else \
-        stream_rng(seed, "action")
-    mean, _ = policy_forward(bundle, state)
-    if bundle.noise_variance > 0:
-        action = mean + rng.normal(0.0, math.sqrt(bundle.noise_variance),
-                                   size=mean.shape)
-    else:
-        action = mean.copy()
+    mean = bundle.actor(x)
+    action = mean + rng.normal(0.0, math.sqrt(bundle.noise_variance),
+                               size=mean.shape)
     action = np.clip(action, -ACTION_BOUND, ACTION_BOUND)
-    if bundle.noise_variance > 0:
-        logp = float(gaussian_logp(action, mean, bundle.noise_variance))
-    else:
-        logp = 0.0   # deterministic mode; never used for ratios
-    return action, logp
+    return action, float(gaussian_logp(action, mean, bundle.noise_variance))
 
 
 @dataclass
@@ -185,29 +173,24 @@ class Trajectory:
 
 
 def collect_episode(g: Graph, bundle: PolicyBundle, seed: int,
-                    normalizer: float | None = None,
-                    steps: int = EPISODE_LEN,
-                    shots: int | None = None) -> Trajectory:
-    """Roll the stochastic policy for `steps` moves on one instance."""
+                    normalizer: float, steps: int) -> Trajectory:
+    """Roll the stochastic policy for `steps` exact moves on one instance:
+    one actor and one critic forward per step, one bootstrap critic
+    forward at the end."""
     p = bundle.depth
-    if normalizer is None:
-        normalizer = reward_normalizer(g, p, seed=derive_seed(seed, "norm"))
-    obj = MeteredObjective.for_graph(g, depth=p, budget=steps + 1, shots=shots,
-                                     seed=derive_seed(seed, "episode-shots"))
+    obj = MeteredObjective.for_graph(g, depth=p, budget=steps + 1)
     rng = stream_rng(seed, "episode")
     state = env_reset(obj, derive_seed(seed, "reset"), normalizer)
-    dim = state_dim(p)
-    states = np.zeros((steps, dim))
+    states = np.zeros((steps, state_dim(p)))
     actions = np.zeros((steps, 2 * p))
     logps = np.zeros(steps)
     rewards = np.zeros(steps)
     values = np.zeros(steps)
     for t in range(steps):
         states[t] = state.flatten()
-        action, logp = sample_action(bundle, state, rng)
+        actions[t], logps[t] = sample_action(bundle, states[t], rng)
         values[t] = float(bundle.critic(states[t])[0])
-        state, reward = env_step(state, action, obj)
-        actions[t], logps[t], rewards[t] = action, logp, reward
+        state, rewards[t] = env_step(state, actions[t], obj)
     bootstrap = float(bundle.critic(state.flatten())[0])
     return Trajectory(states=states, actions=actions, logps=logps,
                       rewards=rewards, values=values, bootstrap=bootstrap)
@@ -306,8 +289,6 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     """
     if not batch:
         raise DomainError("ppo_update needs a non-empty batch")
-    if not bundle.noise_variance > 0:
-        raise DomainError("training requires positive policy noise variance")
     states = np.concatenate([t.states for t in batch])
     actions = np.concatenate([t.actions for t in batch])
     logp_old = np.concatenate([t.logps for t in batch])
@@ -349,16 +330,15 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     return new, diagnostics
 
 
-def train(train_suite, p: int, cfg: PpoConfig, seed: int,
-          shots: int | None = None):
-    """PPO over the training instances, round-robin one episode at a time.
+def train(train_suite, p: int, cfg: PpoConfig, seed: int):
+    """PPO over the (spec, graph) training items, round-robin one episode
+    at a time.
 
     Returns (bundle, curve) where curve[k] is the mean total discounted
     reward of the episodes collected during epoch k (i.e. under the policy
     as of the start of that epoch).
     """
-    graphs = [item[1] if isinstance(item, tuple) else item
-              for item in train_suite]
+    graphs = [g for _, g in train_suite]
     if not graphs:
         raise DomainError("training suite is empty")
     bundle = init_policy(p, derive_seed(seed, "init"))
@@ -373,7 +353,7 @@ def train(train_suite, p: int, cfg: PpoConfig, seed: int,
             gi = episode_index % len(graphs)
             batch.append(collect_episode(
                 graphs[gi], bundle, derive_seed(seed, "ep", episode_index),
-                normalizers[gi], steps=cfg.episode_len, shots=shots))
+                normalizers[gi], cfg.episode_len))
             episode_index += 1
         curve[epoch] = float(np.mean(
             [t.total_discounted(cfg.discount) for t in batch]))
@@ -402,7 +382,7 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
     state = env_reset(obj, derive_seed(seed, "reset"), normalizer,
                       start=start)
     for _ in range(half - 1):
-        mean, _ = policy_forward(bundle, state)
+        mean = bundle.actor(state.flatten())
         state, _ = env_step(state, np.clip(mean, -ACTION_BOUND, ACTION_BOUND),
                             obj)
     phase1 = result_from_trace(obj.trace[trace_base:])
@@ -429,20 +409,21 @@ def save_policy(bundle: PolicyBundle, path) -> None:
 
 
 def load_policy(path) -> PolicyBundle:
-    with open(path) as fh:
-        payload = json.load(fh)
-
-    def build(rows, head, scale):
+    def mlp(rows, head, scale):
         weights = [np.asarray(w, dtype=np.float64) for w, _ in rows]
         biases = [np.asarray(b, dtype=np.float64) for _, b in rows]
         return Mlp(weights=weights, biases=biases, head=head, scale=scale)
 
-    scale = float(payload["arch"].get("scale", ACTION_BOUND))
-    bundle = PolicyBundle(
-        actor=build(payload["actor_weights"], "scaled_tanh", scale),
-        critic=build(payload["critic_weights"], "linear", 1.0),
-        depth=int(payload["p"]),
-        noise_variance=float(payload.get("noise_variance", NOISE_VARIANCE)))
+    def build(payload):
+        scale = float(payload["arch"].get("scale", ACTION_BOUND))
+        return PolicyBundle(
+            actor=mlp(payload["actor_weights"], "scaled_tanh", scale),
+            critic=mlp(payload["critic_weights"], "linear", 1.0),
+            depth=int(payload["p"]),
+            noise_variance=float(payload.get("noise_variance",
+                                             NOISE_VARIANCE)))
+
+    bundle = read_artifact(path, "policy", build)
     p, dim = bundle.depth, state_dim(bundle.depth)
     for name, net, want in (("actor", bundle.actor, (dim, 2 * p)),
                             ("critic", bundle.critic, (dim, 1))):

@@ -256,6 +256,42 @@ def test_build_kde_rejects_wrong_schema(tmp_path, capsys):
     assert "unexpected schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,text", [
+    ("--kde", '{"p": 1}\n'),
+    ("--kde", "centers = [[0.1, 0.2]]\n"),
+    ("--policy", '{"p": 1}\n'),
+])
+def test_bench_rejects_malformed_model_files(tmp_path, capsys, flag, text):
+    path = write(tmp_path / "model.json", text)
+    rc = main(["bench", "--suite", "train", "--p", "1", flag, path,
+               "--out", str(tmp_path / "b")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.json" in err
+
+
+def test_build_kde_rejects_non_json_sstar(tmp_path, capsys):
+    path = write(tmp_path / "sstar.json", "not json\n")
+    rc = main(["build-kde", "--sstar", path, "--out", str(tmp_path / "k")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sstar.json" in err
+
+
+@pytest.mark.parametrize("text", [
+    "instance,group\nR-n8,small\n",
+    "# qaoabench-records-v1\ninstance,group,p\nR-n8,small,1\n",
+])
+def test_report_rejects_a_file_that_is_not_records(tmp_path, capsys, text):
+    path = write(tmp_path / "records.csv", text)
+    out = tmp_path / "r"
+    rc = main(["report", "--records", path, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "records.csv" in err
+    assert not out.exists()
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", "warp = 9\n")
     rc = main(["gen", "--suite", "train", "--config", cfg,

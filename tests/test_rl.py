@@ -10,7 +10,7 @@ from scipy import stats
 from qaoabench.engine import QaoaParams, expectation_exact
 from qaoabench.errors import BudgetExhaustedError, ConfigError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
-from qaoabench.nets import Adam
+from qaoabench.nets import Adam, Mlp
 from qaoabench.objective import MeteredObjective
 from qaoabench.rl import (
     ACTION_BOUND,
@@ -29,7 +29,6 @@ from qaoabench.rl import (
     gaussian_logp,
     init_policy,
     load_policy,
-    policy_forward,
     ppo_update,
     reward_normalizer,
     rl_optimize,
@@ -90,7 +89,7 @@ def bandit_tail_mean(seed, updates=200, n_ep=24, steps=8, tail=50):
                                     bootstrap=float(bundle.critic(sts[0])[0])))
         bundle, _ = ppo_update(bundle, batch, cfg)
         if u >= updates - tail:
-            tail_means.append(policy_forward(bundle, np.zeros(dim))[0])
+            tail_means.append(bundle.actor(np.zeros(dim)))
     return np.mean(tail_means, axis=0)
 
 
@@ -221,16 +220,19 @@ def test_init_policy_shapes_and_determinism():
                                   again.actor.weights[0])
 
 
-def test_policy_forward_accepts_state_and_vector():
+def test_zero_noise_variance_is_rejected(tmp_path):
     bundle = init_policy(1, seed=0)
-    obj = k2_objective()
-    state = env_reset(obj, seed=0)
-    mean_s, value_s = policy_forward(bundle, state)
-    mean_v, value_v = policy_forward(bundle, state.flatten())
-    np.testing.assert_array_equal(mean_s, mean_v)
-    assert value_s == value_v
-    assert mean_s.shape == (2,)
-    assert np.all(np.abs(mean_s) <= ACTION_BOUND)
+    for variance in (0.0, -1e-3, math.nan):
+        with pytest.raises(DomainError):
+            PolicyBundle(actor=bundle.actor, critic=bundle.critic, depth=1,
+                         noise_variance=variance)
+    path = tmp_path / "policy.json"
+    save_policy(bundle, path)
+    payload = json.loads(path.read_text())
+    payload["noise_variance"] = 0.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="policy.json"):
+        load_policy(path)
 
 
 def test_gaussian_logp_formula():
@@ -256,24 +258,11 @@ def test_sample_action_bounds_and_std():
 
 def test_sample_action_logp_is_density_at_kept_action():
     bundle = init_policy(1, seed=3)
-    obj = k2_objective()
-    state = env_reset(obj, seed=4)
-    action, logp = sample_action(bundle, state, seed=5)
-    mean, _ = policy_forward(bundle, state)
+    x = np.random.default_rng(4).normal(size=state_dim(1))
+    action, logp = sample_action(bundle, x, np.random.default_rng(5))
     assert logp == pytest.approx(
-        float(gaussian_logp(action, mean, NOISE_VARIANCE)), abs=1e-15)
-
-
-def test_sample_action_zero_variance_is_mean():
-    bundle = init_policy(1, seed=6)
-    bundle = PolicyBundle(actor=bundle.actor, critic=bundle.critic,
-                          depth=1, noise_variance=0.0)
-    obj = k2_objective()
-    state = env_reset(obj, seed=7)
-    action, logp = sample_action(bundle, state, seed=8)
-    mean, _ = policy_forward(bundle, state)
-    np.testing.assert_array_equal(action, np.clip(mean, -0.1, 0.1))
-    assert logp == 0.0
+        float(gaussian_logp(action, bundle.actor(x), NOISE_VARIANCE)),
+        abs=1e-15)
 
 
 # --- trajectories and PPO --------------------------------------------------
@@ -350,11 +339,6 @@ def test_ppo_update_rejects_bad_input():
     cfg = PpoConfig(epochs=1, episodes_per_epoch=1)
     with pytest.raises(DomainError):
         ppo_update(bundle, [], cfg)
-    frozen = PolicyBundle(actor=bundle.actor, critic=bundle.critic,
-                          depth=1, noise_variance=0.0)
-    traj = collect_episode(K2, bundle, seed=15, normalizer=0.5, steps=4)
-    with pytest.raises(DomainError):
-        ppo_update(frozen, [traj], cfg)
 
 
 def test_ppo_kl_checked_before_every_pass():
@@ -430,13 +414,37 @@ def test_train_deterministic_curve():
     assert not np.array_equal(curve_a, curve_c)
 
 
-def test_train_accepts_bare_graphs_and_rejects_empty():
+def test_train_runs_on_suite_items_and_rejects_empty():
     cfg = PpoConfig(epochs=1, episodes_per_epoch=2, episode_len=4,
                     probe_count=10, max_passes=5)
-    bundle, curve = train([K2], p=1, cfg=cfg, seed=0)
+    bundle, curve = train([(None, K2)], p=1, cfg=cfg, seed=0)
     assert bundle.depth == 1 and curve.shape == (1,)
     with pytest.raises(DomainError):
         train([], p=1, cfg=cfg, seed=0)
+
+
+def count_forwards(monkeypatch, bundle):
+    """Patch Mlp.forward to count calls on the bundle's actor and critic."""
+    calls = {"actor": 0, "critic": 0}
+    names = {id(bundle.actor): "actor", id(bundle.critic): "critic"}
+    forward = Mlp.forward
+
+    def counted(net, x):
+        calls[names[id(net)]] += 1
+        return forward(net, x)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    return calls
+
+
+def test_rollout_runs_one_forward_per_net_and_step(monkeypatch):
+    bundle = init_policy(1, seed=7)
+    calls = count_forwards(monkeypatch, bundle)
+    collect_episode(K2, bundle, seed=3, normalizer=0.5, steps=10)
+    assert calls == {"actor": 10, "critic": 11}   # + 1 bootstrap value
+    calls.update(actor=0, critic=0)
+    rl_optimize(k2_objective(budget=40), bundle, seed=23)
+    assert calls == {"actor": 19, "critic": 0}    # half budget - 1 steps
 
 
 def test_rl_optimize_budget_accounting():
@@ -487,8 +495,7 @@ def test_save_load_round_trip(tmp_path):
     for w_a, w_b in zip(bundle.actor.parameters(), back.actor.parameters()):
         np.testing.assert_array_equal(w_a, w_b)
     x = np.random.default_rng(0).normal(size=state_dim(2))
-    np.testing.assert_array_equal(policy_forward(bundle, x)[0],
-                                  policy_forward(back, x)[0])
+    np.testing.assert_array_equal(bundle.actor(x), back.actor(x))
 
 
 @pytest.mark.parametrize("bad", [

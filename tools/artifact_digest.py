@@ -5,7 +5,10 @@ exact bench through `qaoabench.cli.main` into a temporary directory, then
 prints one sha256 per artifact and a combined digest over all of them.
 `manifest.json` files are left out: they name their input paths, which
 differ between checkouts.  A refactor that is meant to change no result
-must print the same combined digest before and after.
+must print the same combined digest before and after.  The last line,
+`src_lines <N>`, is the line count of `src/qaoabench/*.py` (as
+`cat src/qaoabench/*.py | wc -l` counts it), the size a refactor reports
+next to its digest.
 
     python3 tools/artifact_digest.py
 
@@ -18,7 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from qaoabench.cli import main  # noqa: E402
 
@@ -69,6 +73,9 @@ def main_digest() -> int:
             combined.update(f"{rel} {digest}\n".encode())
             print(f"{digest}  {rel}")
         print(f"combined {combined.hexdigest()}")
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (SRC / "qaoabench").glob("*.py"))
+    print(f"src_lines {lines}")
     return 0
 
 
