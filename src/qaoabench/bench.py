@@ -7,8 +7,6 @@ luckier initial conditions.  Rankings use exact re-scored energies; the
 shot-noisy best stays in the record for transparency.
 """
 
-import csv
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
 
+from .artifacts import METRICS_SCHEMA, RECORDS_SCHEMA, TAU_SCHEMA, \
+    read_csv, write_csv, write_json
 from .baselines import nelder_mead, random_search
 from .engine import QaoaParams
 from .errors import ConfigError, DomainError
@@ -25,10 +25,6 @@ from .kde import kde_optimize
 from .objective import MeteredObjective
 from .rl import rl_optimize
 from .seeding import derive_seed, stream_rng
-
-RECORDS_SCHEMA = "qaoabench-records-v1"
-TAU_SCHEMA = "qaoabench-tau-v1"
-METRICS_SCHEMA = "qaoabench-metrics-v1"
 
 ROSTER = ("random", "nm", "kde", "rl")
 LEARNED = ("kde", "rl")
@@ -41,7 +37,6 @@ class BenchConfig:
     attempts: int = 10
     shots: int | None = 1024   # None = exact metered evaluations
     roster: tuple = ROSTER
-    max_n: int | None = None   # instance filter; None keeps the whole suite
     seed: int = 0
 
     def __post_init__(self):
@@ -131,10 +126,8 @@ def run_bench(suite, roster, cfg: BenchConfig, models=None,
     Cells are independent; threads > 1 fans them over a process pool
     without changing any result.
     """
-    instances = [(spec, g) for spec, g in suite
-                 if cfg.max_n is None or g.n <= cfg.max_n]
     jobs = []
-    for spec, g in instances:
+    for spec, g in suite:
         for depth in cfg.depths:
             for optimizer in roster:
                 model = _model_for(models, optimizer, depth)
@@ -154,17 +147,22 @@ def _run_cell_star(job):
     return _run_cell(*job)
 
 
-def _expected_tau_cells(records):
-    """(instance, group, depth, optimizer) -> mean over attempts of tau.
-
-    tau = best_exact / f_opt with f_opt the best exact value any optimizer
-    reached on that (instance, depth); non-positive f_opt (edgeless
-    instances) are dropped with a warning.
-    """
+def _f_opt(records) -> dict:
+    """(instance, depth) -> the best exact value any optimizer reached."""
     f_opt = {}
     for r in records:
         key = (r.instance, r.depth)
         f_opt[key] = max(f_opt.get(key, -math.inf), r.best_exact)
+    return f_opt
+
+
+def _expected_tau_cells(records):
+    """(instance, group, depth, optimizer) -> mean over attempts of tau.
+
+    tau = best_exact / f_opt (see `_f_opt`); non-positive f_opt (edgeless
+    instances) are dropped with a warning.
+    """
+    f_opt = _f_opt(records)
     dropped = sorted({k[0] for k, v in f_opt.items() if v <= 0})
     if dropped:
         warnings.warn(f"excluding instances with non-positive best value: "
@@ -284,50 +282,34 @@ def export_report(table: MetricsTable, records, out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in formats:
-        path = out_dir / "records.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {RECORDS_SCHEMA}\n")
-            w = csv.writer(fh)
-            w.writerow(["instance", "group", "p", "optimizer", "attempt",
-                        "best_value", "best_exact", "evals_used"])
-            for r in records:
-                w.writerow([r.instance, r.group, r.depth, r.optimizer,
-                            r.attempt, _fmt(r.best_value), _fmt(r.best_exact),
-                            r.evals_used])
-        written.append(path)
-
-        f_opt = {}
-        for r in records:
-            key = (r.instance, r.depth)
-            f_opt[key] = max(f_opt.get(key, -math.inf), r.best_exact)
-        path = out_dir / "tau_long.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# {TAU_SCHEMA}\n")
-            w = csv.writer(fh)
-            w.writerow(["group", "p", "optimizer", "attempt", "tau"])
-            for r in records:
-                if f_opt[(r.instance, r.depth)] <= 0:
-                    continue
-                w.writerow([r.group, r.depth, r.optimizer, r.attempt,
-                            _fmt(r.best_exact / f_opt[(r.instance, r.depth)])])
-        written.append(path)
+        written.append(write_csv(
+            out_dir / "records.csv", RECORDS_SCHEMA,
+            ["instance", "group", "p", "optimizer", "attempt", "best_value",
+             "best_exact", "evals_used"],
+            ([r.instance, r.group, r.depth, r.optimizer, r.attempt,
+              _fmt(r.best_value), _fmt(r.best_exact), r.evals_used]
+             for r in records)))
+        f_opt = _f_opt(records)
+        written.append(write_csv(
+            out_dir / "tau_long.csv", TAU_SCHEMA,
+            ["group", "p", "optimizer", "attempt", "tau"],
+            ([r.group, r.depth, r.optimizer, r.attempt,
+              _fmt(r.best_exact / f_opt[(r.instance, r.depth)])]
+             for r in records if f_opt[(r.instance, r.depth)] > 0)))
     if "json" in formats:
-        path = out_dir / "metrics.json"
-        with open(path, "w") as fh:
-            json.dump(metrics_to_json(table), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
+        written.append(write_json(out_dir / "metrics.json", METRICS_SCHEMA,
+                                  metrics_to_json(table)))
     return written
 
 
 def metrics_to_json(table: MetricsTable) -> dict:
+    """The body of metrics.json; an infinite value is written as "inf"."""
     def dump3(d):
         return [{"group": g, "p": p, "optimizer": o,
                  "value": "inf" if math.isinf(v) else v}
                 for (g, p, o), v in sorted(d.items())]
 
     return {
-        "schema": METRICS_SCHEMA,
         "tau": dump3(table.tau),
         "gap": dump3(table.gap),
         "eta": [{"group": g, "p": p, "value": v}
@@ -335,47 +317,14 @@ def metrics_to_json(table: MetricsTable) -> dict:
     }
 
 
-def metrics_from_json(payload: dict) -> MetricsTable:
-    if payload.get("schema") != METRICS_SCHEMA:
-        raise ConfigError(f"unexpected metrics schema "
-                          f"{payload.get('schema')!r}")
-
-    def value(v):
-        return math.inf if v == "inf" else float(v)
-
-    return MetricsTable(
-        tau={(e["group"], e["p"], e["optimizer"]): value(e["value"])
-             for e in payload["tau"]},
-        gap={(e["group"], e["p"], e["optimizer"]): value(e["value"])
-             for e in payload["gap"]},
-        eta={(e["group"], e["p"]): value(e["value"])
-             for e in payload["eta"]})
-
-
-def read_metrics(path) -> MetricsTable:
-    with open(path) as fh:
-        return metrics_from_json(json.load(fh))
-
-
 def read_records(path) -> list:
     """Records from a records.csv that export_report wrote."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != f"# {RECORDS_SCHEMA}":
-            raise ConfigError(f"{path}: not a records file (first line "
-                              f"{header!r}, expected '# {RECORDS_SCHEMA}')")
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    try:
-        return [BenchRecord(
-            instance=row["instance"], group=row["group"], depth=int(row["p"]),
-            optimizer=row["optimizer"], attempt=int(row["attempt"]),
-            best_value=float(row["best_value"]),
-            best_exact=float(row["best_exact"]),
-            evals_used=int(row["evals_used"]))
-            for row in csv.DictReader(lines)]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed record row "
-                          f"({type(exc).__name__}: {exc})") from None
+    return read_csv(path, RECORDS_SCHEMA, "records", lambda row: BenchRecord(
+        instance=row["instance"], group=row["group"], depth=int(row["p"]),
+        optimizer=row["optimizer"], attempt=int(row["attempt"]),
+        best_value=float(row["best_value"]),
+        best_exact=float(row["best_exact"]),
+        evals_used=int(row["evals_used"])))
 
 
 def records_cut_values(records) -> dict:

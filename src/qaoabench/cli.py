@@ -3,33 +3,25 @@
 One root --seed fans out through named substreams (see seeding.py), so any
 stage can be re-run in isolation and still agree with a full pipeline run.
 Every output directory gets a manifest with the resolved configuration and
-content hashes; no artifact embeds a timestamp, making runs hash-identical
-per seed.
+content hashes; no artifact embeds a timestamp (artifacts.py holds the file
+convention), making runs hash-identical per seed.
 """
 
 import argparse
-import csv
-import hashlib
-import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
+    SUITE_SCHEMA, read_json, write_csv, write_json, write_manifest
 from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
 from .engine import Circuit, landscape_grid
-from .errors import ConfigError, QaoaBenchError, read_artifact
+from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
 from .rl import PpoConfig, load_policy, save_policy, train
 from .seeding import derive_seed
-
-MANIFEST_SCHEMA = "qaoabench-manifest-v1"
-SUITE_SCHEMA = "qaoabench-suite-v1"
-LANDSCAPE_SCHEMA = "qaoabench-landscape-v1"
-SSTAR_SCHEMA = "qaoabench-sstar-v1"
-CURVE_SCHEMA = "qaoabench-curve-v1"
 
 VALID_DEPTHS = (1, 2, 4)
 
@@ -102,31 +94,6 @@ def _parse_roster(text) -> tuple:
     return out
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_manifest(out_dir, command: str, config: dict, inputs,
-                   outputs) -> Path:
-    payload = {
-        "schema": MANIFEST_SCHEMA,
-        "version": __version__,
-        "command": command,
-        "config": {k: config[k] for k in sorted(config)},
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {Path(p).name: _sha256(p) for p in outputs},
-    }
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -140,8 +107,10 @@ def _shots_arg(args, config, default=1024):
 
 
 # ------------------------------------------------------------ subcommands
+# Each handler returns (resolved config, input paths, output paths) for the
+# manifest that `main` writes.
 
-def cmd_gen(args, config) -> int:
+def cmd_gen(args, config) -> tuple:
     name = _resolve(args, config, "suite", "test")
     items = suite(name)
     instances = []
@@ -155,40 +124,28 @@ def cmd_gen(args, config) -> int:
             "n": g.n,
             "edges": [list(e) for e in g.edges],
         })
-    out = _out_dir(args)
-    path = out / "suite.json"
-    with open(path, "w") as fh:
-        json.dump({"schema": SUITE_SCHEMA, "suite": name,
-                   "instances": instances}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "gen", {"suite": name}, [], [path])
+    path = write_json(_out_dir(args) / "suite.json", SUITE_SCHEMA,
+                      {"suite": name, "instances": instances})
     print(f"wrote {path} ({len(instances)} instances)")
-    return 0
+    return {"suite": name}, [], [path]
 
 
-def cmd_landscape(args, config) -> int:
+def cmd_landscape(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
     resolution = _resolve(args, config, "resolution", 64)
     shots = _shots_arg(args, config)
     g = realize(spec_from_id(args.instance))
     grid = landscape_grid(g, resolution, shots=shots,
                           seed=derive_seed(seed, "landscape", args.instance))
-    out = _out_dir(args)
-    path = out / "landscape.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {LANDSCAPE_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["beta", "gamma", "mean", "stderr"])
-        for beta, gamma, mean, stderr in grid.rows():
-            w.writerow([repr(beta), repr(gamma), repr(mean), repr(stderr)])
-    write_manifest(out, "landscape",
-                   {"instance": args.instance, "resolution": resolution,
-                    "shots": shots, "seed": seed}, [], [path])
+    path = write_csv(_out_dir(args) / "landscape.csv", LANDSCAPE_SCHEMA,
+                     ["beta", "gamma", "mean", "stderr"],
+                     ([repr(x) for x in row] for row in grid.rows()))
     print(f"wrote {path}")
-    return 0
+    return ({"instance": args.instance, "resolution": resolution,
+             "shots": shots, "seed": seed}, [], [path])
 
 
-def cmd_build_sstar(args, config) -> int:
+def cmd_build_sstar(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
     starts = _resolve(args, config, "starts", 1000)
     depths = _parse_depths(args.p if args.p is not None
@@ -208,34 +165,23 @@ def cmd_build_sstar(args, config) -> int:
             entries.append({"instance_id": iid, "p": p,
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})
-        path = out / f"sstar-p{p}.json"
-        with open(path, "w") as fh:
-            json.dump({"schema": SSTAR_SCHEMA, "p": p, "starts": starts,
-                       "entries": entries}, fh)
-            fh.write("\n")
+        path = write_json(out / f"sstar-p{p}.json", SSTAR_SCHEMA,
+                          {"p": p, "starts": starts, "entries": entries})
         paths.append(path)
         total = sum(len(e["admitted"]) for e in entries)
         print(f"wrote {path} ({total} admitted points)")
-    write_manifest(out, "build-sstar",
-                   {"suite": suite_name, "p": list(depths), "starts": starts,
-                    "seed": seed}, [], paths)
-    return 0
+    return ({"suite": suite_name, "p": list(depths), "starts": starts,
+             "seed": seed}, [], paths)
 
 
 def read_sstar(path) -> tuple:
     """Returns (p, pooled parameter vectors) from a build-sstar file."""
-
-    def build(payload):
-        if payload.get("schema") != SSTAR_SCHEMA:
-            raise ConfigError(f"{path}: unexpected schema "
-                              f"{payload.get('schema')!r}")
-        pooled = [vec for e in payload["entries"] for vec in e["admitted"]]
-        return int(payload["p"]), pooled
-
-    return read_artifact(path, "S*", build)
+    return read_json(path, SSTAR_SCHEMA, "S*", lambda body: (
+        int(body["p"]),
+        [vec for e in body["entries"] for vec in e["admitted"]]))
 
 
-def cmd_build_kde(args, config) -> int:
+def cmd_build_kde(args, config) -> tuple:
     bandwidth = _resolve(args, config, "bandwidth", None)
     out = _out_dir(args)
     paths = []
@@ -250,14 +196,11 @@ def cmd_build_kde(args, config) -> int:
         paths.append(path)
         print(f"wrote {path} (N={len(model.centers)}, "
               f"omega={model.bandwidth:.4f})")
-    write_manifest(out, "build-kde",
-                   {"bandwidth": bandwidth, "sstar": [str(s) for s in
-                                                      args.sstar]},
-                   args.sstar, paths)
-    return 0
+    return ({"bandwidth": bandwidth, "sstar": [str(s) for s in args.sstar]},
+            args.sstar, paths)
 
 
-def cmd_train_rl(args, config) -> int:
+def cmd_train_rl(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
     p = int(_resolve(args, config, "p", 1))
     if p not in VALID_DEPTHS:
@@ -273,24 +216,19 @@ def cmd_train_rl(args, config) -> int:
     out = _out_dir(args)
     policy_path = out / f"policy-p{p}.json"
     save_policy(bundle, policy_path)
-    curve_path = out / f"curve-p{p}.csv"
-    with open(curve_path, "w", newline="") as fh:
-        fh.write(f"# {CURVE_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["epoch", "mean_discounted_reward"])
-        for epoch, value in enumerate(curve):
-            w.writerow([epoch, repr(float(value))])
-    write_manifest(out, "train-rl",
-                   {"suite": suite_name, "p": p, "epochs": cfg.epochs,
-                    "episodes": cfg.episodes_per_epoch,
-                    "steps": cfg.episode_len, "probe": cfg.probe_count,
-                    "seed": seed}, [], [policy_path, curve_path])
+    curve_path = write_csv(
+        out / f"curve-p{p}.csv", CURVE_SCHEMA,
+        ["epoch", "mean_discounted_reward"],
+        ([epoch, repr(float(value))] for epoch, value in enumerate(curve)))
     print(f"wrote {policy_path} and {curve_path} "
           f"(curve {curve[0]:.4f} -> {curve[-1]:.4f})")
-    return 0
+    return ({"suite": suite_name, "p": p, "epochs": cfg.epochs,
+             "episodes": cfg.episodes_per_epoch, "steps": cfg.episode_len,
+             "probe": cfg.probe_count, "seed": seed},
+            [], [policy_path, curve_path])
 
 
-def cmd_bench(args, config) -> int:
+def cmd_bench(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
     depths = _parse_depths(args.p if args.p is not None
                            else config.get("depths", "1,2,4"))
@@ -303,7 +241,6 @@ def cmd_bench(args, config) -> int:
         attempts=_resolve(args, config, "attempts", 10),
         shots=shots,
         roster=roster,
-        max_n=_resolve(args, config, "max_n", None),
         seed=derive_seed(seed, "bench"))
     models = {"kde": {}, "rl": {}}
     inputs = []
@@ -316,36 +253,31 @@ def cmd_bench(args, config) -> int:
         models["rl"][bundle.depth] = bundle
         inputs.append(path)
     suite_name = _resolve(args, config, "suite", "test")
-    items = suite(suite_name)
+    max_n = _resolve(args, config, "max_n", None)
+    items = [(spec, g) for spec, g in suite(suite_name)
+             if max_n is None or g.n <= max_n]
     threads = _resolve(args, config, "threads", 1)
     records = run_bench(items, roster, cfg, models, threads=threads)
-    kept = [(spec, g) for spec, g in items
-            if cfg.max_n is None or g.n <= cfg.max_n]
-    table = compute_metrics(records, suite_cut_values(kept))
+    table = compute_metrics(records, suite_cut_values(items))
     out = _out_dir(args)
     written = export_report(table, records, out)
-    write_manifest(out, "bench",
-                   {"suite": suite_name, "p": list(depths),
-                    "roster": list(roster), "budget": cfg.budget,
-                    "attempts": cfg.attempts, "shots": shots,
-                    "max_n": cfg.max_n, "threads": threads, "seed": seed},
-                   inputs, written)
     print(f"wrote {len(records)} records to {out}")
-    return 0
+    return ({"suite": suite_name, "p": list(depths), "roster": list(roster),
+             "budget": cfg.budget, "attempts": cfg.attempts, "shots": shots,
+             "max_n": max_n, "threads": threads, "seed": seed},
+            inputs, written)
 
 
-def cmd_report(args, config) -> int:
+def cmd_report(args, config) -> tuple:
     records = read_records(args.records)
     fmt = args.format or "both"
     formats = ("csv", "json") if fmt == "both" else (fmt,)
     table = compute_metrics(records, records_cut_values(records))
     out = _out_dir(args)
     written = export_report(table, records, out, formats=formats)
-    write_manifest(out, "report",
-                   {"records": str(args.records), "format": fmt},
-                   [args.records], written)
     print(f"wrote {', '.join(str(p) for p in written)}")
-    return 0
+    return ({"records": str(args.records), "format": fmt}, [args.records],
+            written)
 
 
 # -------------------------------------------------------------- dispatch
@@ -428,10 +360,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
-        return HANDLERS[args.command](args, config)
+        resolved, inputs, outputs = HANDLERS[args.command](args, config)
+        write_manifest(args.out, args.command, resolved, inputs, outputs)
     except (QaoaBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

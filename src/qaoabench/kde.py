@@ -7,14 +7,14 @@ and wraps back into [-pi, pi]^d so a fixed budget is never wasted on
 rejected draws.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import KDE_SCHEMA, read_json, write_json
 from .engine import QaoaParams, wrap_angles
-from .errors import DomainError, read_artifact
+from .errors import DomainError
 from .objective import MeteredObjective, OptResult
 from .seeding import stream_rng
 
@@ -121,14 +121,11 @@ def kde_optimize(obj: MeteredObjective, model: KdeModel, seed: int) -> OptResult
 
 
 def kde_save(model: KdeModel, path) -> None:
-    payload = {"p": model.depth, "omega": model.bandwidth,
-               "centers": model.centers.tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, KDE_SCHEMA, {"p": model.depth, "omega": model.bandwidth,
+                                  "centers": model.centers.tolist()})
 
 
 def kde_load(path) -> KdeModel:
-    return read_artifact(path, "KDE model", lambda payload: KdeModel(
-        centers=np.asarray(payload["centers"], dtype=np.float64),
-        bandwidth=float(payload["omega"]), depth=int(payload["p"])))
+    return read_json(path, KDE_SCHEMA, "KDE model", lambda body: KdeModel(
+        centers=np.asarray(body["centers"], dtype=np.float64),
+        bandwidth=float(body["omega"]), depth=int(body["p"])))

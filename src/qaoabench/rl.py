@@ -8,14 +8,14 @@ off) spends half the budget walking the landscape and Nelder-Mead polishes
 the best point found with the other half.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import POLICY_SCHEMA, read_json, write_json
 from .engine import Circuit, QaoaParams
-from .errors import ConfigError, DomainError, read_artifact
+from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
 from .objective import MeteredObjective, OptResult, result_from_trace
@@ -395,17 +395,14 @@ def save_policy(bundle: PolicyBundle, path) -> None:
         return [[w.tolist(), b.tolist()]
                 for w, b in zip(net.weights, net.biases)]
 
-    payload = {
+    write_json(path, POLICY_SCHEMA, {
         "arch": {"layers": bundle.actor.sizes, "activation": "tanh",
                  "scale": ACTION_BOUND},
         "actor_weights": dump(bundle.actor),
         "critic_weights": dump(bundle.critic),
         "p": bundle.depth,
         "noise_variance": bundle.noise_variance,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def load_policy(path) -> PolicyBundle:
@@ -414,16 +411,14 @@ def load_policy(path) -> PolicyBundle:
         biases = [np.asarray(b, dtype=np.float64) for _, b in rows]
         return Mlp(weights=weights, biases=biases, head=head, scale=scale)
 
-    def build(payload):
-        scale = float(payload["arch"].get("scale", ACTION_BOUND))
+    def build(body):
         return PolicyBundle(
-            actor=mlp(payload["actor_weights"], "scaled_tanh", scale),
-            critic=mlp(payload["critic_weights"], "linear", 1.0),
-            depth=int(payload["p"]),
-            noise_variance=float(payload.get("noise_variance",
-                                             NOISE_VARIANCE)))
+            actor=mlp(body["actor_weights"], "scaled_tanh",
+                      float(body["arch"]["scale"])),
+            critic=mlp(body["critic_weights"], "linear", 1.0),
+            depth=int(body["p"]), noise_variance=float(body["noise_variance"]))
 
-    bundle = read_artifact(path, "policy", build)
+    bundle = read_json(path, POLICY_SCHEMA, "policy", build)
     p, dim = bundle.depth, state_dim(bundle.depth)
     for name, net, want in (("actor", bundle.actor, (dim, 2 * p)),
                             ("critic", bundle.critic, (dim, 1))):

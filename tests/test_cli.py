@@ -258,8 +258,10 @@ def test_build_kde_rejects_wrong_schema(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,text", [
     ("--kde", '{"p": 1}\n'),
+    ("--kde", '{"schema": "qaoabench-kde-v1", "p": 1}\n'),
     ("--kde", "centers = [[0.1, 0.2]]\n"),
     ("--policy", '{"p": 1}\n'),
+    ("--policy", '{"schema": "qaoabench-policy-v1", "p": 1}\n'),
 ])
 def test_bench_rejects_malformed_model_files(tmp_path, capsys, flag, text):
     path = write(tmp_path / "model.json", text)
@@ -268,6 +270,62 @@ def test_bench_rejects_malformed_model_files(tmp_path, capsys, flag, text):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "model.json" in err
+
+
+# pipeline file -> the schema id it carries, the loader of its kind (if the
+# pipeline reads that kind back) and the bench flag that takes it
+ARTIFACTS = {
+    "sstar/sstar-p1.json": ("qaoabench-sstar-v1", read_sstar, None),
+    "kde/kde-p1.json": ("qaoabench-kde-v1", kde_load, "--kde"),
+    "rl/policy-p1.json": ("qaoabench-policy-v1", load_policy, "--policy"),
+    "rl/curve-p1.csv": ("qaoabench-curve-v1", None, None),
+    "bench/records.csv": ("qaoabench-records-v1", read_records, None),
+    "bench/tau_long.csv": ("qaoabench-tau-v1", None, None),
+    "bench/metrics.json": ("qaoabench-metrics-v1", None, None),
+}
+ARTIFACTS.update({f"{d}/manifest.json": ("qaoabench-manifest-v1", None, None)
+                  for d in ("sstar", "kde", "rl", "bench")})
+LOADERS = [loader for _, loader, _ in ARTIFACTS.values() if loader]
+
+
+@pytest.mark.parametrize("rel", sorted(ARTIFACTS))
+def test_artifact_schema_ids(pipeline, tmp_path, capsys, rel):
+    root, _ = pipeline
+    for d in ("sstar", "kde", "rl", "bench"):
+        assert {f"{d}/{f.name}" for f in (root / d).iterdir()} <= \
+            set(ARTIFACTS)
+    schema, own, flag = ARTIFACTS[rel]
+    path = root / rel
+    if path.suffix == ".csv":
+        assert path.read_text().splitlines()[0] == f"# {schema}"
+    else:
+        assert json.loads(path.read_text())["schema"] == schema
+    if own:
+        own(path)
+    for loader in LOADERS:
+        if loader is not own:
+            with pytest.raises(ConfigError, match=path.name):
+                loader(path)
+    if flag:
+        wrong = "--policy" if flag == "--kde" else "--kde"
+        rc = main(["bench", "--suite", "train", "--p", "1", wrong, str(path),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert "unexpected schema" in capsys.readouterr().err
+
+
+def test_bench_max_n_keeps_only_instances_up_to_it(tmp_path, test_set):
+    out = tmp_path / "b"
+    assert main(["bench", "--suite", "test", "--p", "1",
+                 "--roster", "random,nm", "--budget", "8", "--attempts", "1",
+                 "--exact", "--max-n", "6", "--out", str(out)]) == 0
+    kept = {instance_id(spec) for spec, g in test_set if g.n <= 6}
+    assert 0 < len(kept) < len(test_set)
+    assert {r.instance for r in read_records(out / "records.csv")} == kept
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["eta"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["max_n"] == 6
 
 
 def test_build_kde_rejects_non_json_sstar(tmp_path, capsys):

@@ -498,6 +498,18 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(bundle.actor(x), back.actor(x))
 
 
+@pytest.mark.parametrize("drop", ["noise_variance", "scale"])
+def test_load_policy_needs_every_v1_field(tmp_path, drop):
+    path = tmp_path / "policy.json"
+    save_policy(init_policy(1, seed=3), path)
+    payload = json.loads(path.read_text())
+    payload.pop(drop, None)
+    payload["arch"].pop(drop, None)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="policy.json"):
+        load_policy(path)
+
+
 @pytest.mark.parametrize("bad", [
     {"episode_len": 0}, {"actor_lr": 0.0}, {"actor_lr": -1e-3},
     {"critic_lr": 0.0}, {"kl_stop": 0.0}, {"kl_stop": -0.1},

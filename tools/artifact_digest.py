@@ -1,7 +1,8 @@
 """Digest of every artifact of a desk-scale pipeline run.
 
-Runs build-sstar, build-kde, train-rl, landscape, a sampled bench and an
-exact bench through `qaoabench.cli.main` into a temporary directory, then
+Runs gen, build-sstar, build-kde, train-rl, landscape, a sampled bench, an
+exact bench and a report of the sampled bench's records through
+`qaoabench.cli.main` into a temporary directory, then
 prints one sha256 per artifact and a combined digest over all of them.
 `manifest.json` files are left out: they name their input paths, which
 differ between checkouts.  A refactor that is meant to change no result
@@ -32,6 +33,7 @@ def pipeline(root: Path):
     sstar, models, policy = root / "sstar", root / "models", root / "policy"
     bench_size = ["--max-n", "8", "--attempts", "2", "--budget", "48"]
     return [
+        ["gen", "--suite", "test", "--out", str(root / "gen")],
         ["build-sstar", "--p", "1,2", "--starts", "5", "--out", str(sstar)],
         ["build-kde", "--sstar", str(sstar / "sstar-p1.json"),
          "--sstar", str(sstar / "sstar-p2.json"), "--out", str(models)],
@@ -47,6 +49,8 @@ def pipeline(root: Path):
          *bench_size, "--kde", str(models / "kde-p1.json"),
          "--kde", str(models / "kde-p2.json"),
          "--out", str(root / "bench-exact")],
+        ["report", "--records", str(root / "bench-sampled" / "records.csv"),
+         "--out", str(root / "report")],
     ]
 
 
