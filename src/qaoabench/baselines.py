@@ -46,19 +46,26 @@ def _simplex_diameter(points: np.ndarray) -> float:
 
 
 def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
-    """Simplex search maximizing the metered objective from x0.
+    """Simplex search maximizing the metered objective from x0
+    (`simplex_search`); returns the best point this run evaluated."""
+    start = len(obj.trace)
+    simplex_search(obj, x0)
+    return obj.result(since=start)
+
+
+def simplex_search(obj: MeteredObjective, x0: QaoaParams) -> None:
+    """Nelder-Mead steps from x0; the caller reads the points from obj.trace.
 
     Classic coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5);
     the initial simplex offsets each coordinate of x0 by +0.25 rad.  Stops
-    when the budget runs out or the simplex diameter drops below 1e-4, and
-    returns the best point this run evaluated.  The method is deterministic.
+    when the budget runs out or the simplex diameter drops below 1e-4.  The
+    method is deterministic.
     """
     d = 2 * x0.p
     if obj.remaining < d + 2:
         raise DomainError(
             f"nelder_mead needs at least {d + 2} evaluations, "
             f"{obj.remaining} left in budget")
-    start = len(obj.trace)
 
     def g(vec: np.ndarray) -> float:
         # simplex vectors stay unwrapped; evaluation wraps via QaoaParams
@@ -98,7 +105,6 @@ def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
                         vals[i] = g(pts[i])
     except BudgetExhaustedError:
         pass
-    return obj.result(since=start)
 
 
 def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaParams]:

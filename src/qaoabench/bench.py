@@ -156,33 +156,35 @@ def _f_opt(records) -> dict:
     return f_opt
 
 
-def _expected_tau_cells(records):
-    """(instance, group, depth, optimizer) -> mean over attempts of tau.
-
-    tau = best_exact / f_opt (see `_f_opt`); non-positive f_opt (edgeless
-    instances) are dropped with a warning.
-    """
-    f_opt = _f_opt(records)
-    dropped = sorted({k[0] for k, v in f_opt.items() if v <= 0})
-    if dropped:
-        warnings.warn(f"excluding instances with non-positive best value: "
-                      f"{dropped}")
+def _cell_means(records, refs) -> dict:
+    """(instance, group, depth, optimizer) -> mean over attempts of
+    best_exact / ref, where refs[i] is records[i]'s reference; records
+    whose reference is not positive are skipped."""
     sums, counts = {}, {}
-    for r in records:
-        if f_opt[(r.instance, r.depth)] <= 0:
+    for r, ref in zip(records, refs):
+        if ref <= 0:
             continue
         key = (r.instance, r.group, r.depth, r.optimizer)
-        sums[key] = sums.get(key, 0.0) + r.best_exact / f_opt[(r.instance,
-                                                               r.depth)]
+        sums[key] = sums.get(key, 0.0) + r.best_exact / ref
         counts[key] = counts.get(key, 0) + 1
     return {k: sums[k] / counts[k] for k in sums}
 
 
 def optimality_ratios(records) -> dict:
-    """(group, depth, optimizer) -> median over instances of expected tau."""
+    """(group, depth, optimizer) -> median over instances of expected tau.
+
+    tau = best_exact / f_opt (see `_f_opt`); instances with non-positive
+    f_opt (edgeless ones) are dropped with a warning.
+    """
     if not records:
         raise DomainError("no records to aggregate")
-    cells = _expected_tau_cells(records)
+    f_opt = _f_opt(records)
+    dropped = sorted({k[0] for k, v in f_opt.items() if v <= 0})
+    if dropped:
+        warnings.warn(f"excluding instances with non-positive best value: "
+                      f"{dropped}")
+    cells = _cell_means(records, [f_opt[(r.instance, r.depth)]
+                                  for r in records])
     buckets = {}
     for (_, group, depth, optimizer), tau in cells.items():
         buckets.setdefault((group, depth, optimizer), []).append(tau)
@@ -227,19 +229,10 @@ def approximation_ratios(records, cut_values: dict) -> dict:
     if missing:
         warnings.warn(f"no max-cut value for {missing}; excluded from "
                       f"approximation ratios")
-    sums, counts = {}, {}
-    for r in records:
-        if r.instance not in cut_values:
-            continue
-        c_opt = cut_values[r.instance]
-        if c_opt <= 0:
-            continue
-        key = (r.instance, r.group, r.depth, r.optimizer)
-        sums[key] = sums.get(key, 0.0) + r.best_exact / c_opt
-        counts[key] = counts.get(key, 0) + 1
+    cells = _cell_means(records, [cut_values.get(r.instance, 0.0)
+                                  for r in records])
     best = {}
-    for (iid, group, depth, _), total in sums.items():
-        eta = total / counts[(iid, group, depth, _)]
+    for (iid, group, depth, _), eta in cells.items():
         key = (iid, group, depth)
         best[key] = max(best.get(key, 0.0), eta)
     buckets = {}

@@ -89,8 +89,9 @@ def _parse_roster(text) -> tuple:
     bad = [o for o in out if o not in ROSTER]
     if bad:
         raise ConfigError(f"unknown optimizers {bad}; roster is {ROSTER}")
-    if not out:
-        raise ConfigError("empty roster")
+    if "nm" not in out:
+        raise ConfigError(f"roster {list(out)} has no 'nm', the baseline "
+                          f"every gap reduction is measured against")
     return out
 
 

@@ -49,7 +49,8 @@ class Mlp:
                    head=self.head, scale=self.scale)
 
     def forward(self, x: np.ndarray):
-        """Returns (output, cache); accepts (D,) or (B, D) inputs."""
+        """Returns (output, cache), the cache being the (B, width) layer
+        activations, input first; accepts (D,) or (B, D) inputs."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x.reshape(1, -1) if squeeze else x
@@ -69,35 +70,30 @@ class Mlp:
                 h = z
             acts.append(h)
         out = h[0] if squeeze else h
-        return out, (acts, squeeze)
+        return out, acts
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, dout: np.ndarray):
-        """Gradients of sum(dout * output) w.r.t. every parameter.
-
-        Returns (grads, dx) with grads ordered like parameters().
-        """
-        acts, squeeze = cache
+    def backward(self, cache, dout: np.ndarray) -> list:
+        """Gradients of sum(dout * output) w.r.t. every parameter, ordered
+        like parameters(), for a (B, n_out) dout and a batched forward's
+        cache.  No input gradient is computed."""
         g = np.asarray(dout, dtype=np.float64)
-        if squeeze:
-            g = g.reshape(1, -1)
         grads = [None] * (2 * len(self.weights))
         for k in range(len(self.weights) - 1, -1, -1):
-            h_out = acts[k + 1]
+            h_out = cache[k + 1]
             last = k == len(self.weights) - 1
             if not last:
                 g = g * (1.0 - h_out**2)          # d tanh(z) = 1 - tanh^2
             elif self.head == "scaled_tanh":
                 t = h_out / self.scale
                 g = g * self.scale * (1.0 - t**2)
-            grads[2 * k] = acts[k].T @ g
+            grads[2 * k] = cache[k].T @ g
             grads[2 * k + 1] = g.sum(axis=0)
             if k:
                 g = g @ self.weights[k].T
-        dx = g @ self.weights[0].T if not squeeze else (g @ self.weights[0].T)[0]
-        return grads, dx
+        return grads
 
 
 def init_mlp(sizes, head: str, scale: float, rng) -> Mlp:

@@ -19,7 +19,7 @@ from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
 from .objective import MeteredObjective, OptResult, result_from_trace
-from .baselines import nelder_mead
+from .baselines import simplex_search
 from .seeding import derive_seed, stream_rng
 
 HISTORY_LEN = 4
@@ -247,10 +247,11 @@ def discounted_returns(traj: Trajectory, discount: float) -> np.ndarray:
     return out
 
 
-def _actor_loss_grads(actor: Mlp, states, actions, logp_old, adv,
+def _actor_loss_grads(actor: Mlp, mu, cache, actions, logp_old, adv,
                       clip: float, variance: float):
-    mu, cache = actor.forward(states)
-    batch = states.shape[0]
+    """Clipped-surrogate loss and actor gradients at the batched forward
+    `mu, cache = actor.forward(states)`."""
+    batch = mu.shape[0]
     diff = actions - mu
     logp = gaussian_logp(actions, mu, variance)
     ratio = np.exp(logp - logp_old)
@@ -261,7 +262,7 @@ def _actor_loss_grads(actor: Mlp, states, actions, logp_old, adv,
     dmin = np.where(unclipped <= clipped, adv, np.where(inside, adv, 0.0))
     dlogp = -(dmin / batch) * ratio
     dmu = dlogp[:, None] * (diff / variance)
-    grads, _ = actor.backward(cache, dmu)
+    grads = actor.backward(cache, dmu)
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip))
     return loss, grads, clip_fraction
 
@@ -270,7 +271,7 @@ def _critic_loss_grads(critic: Mlp, states, returns):
     v, cache = critic.forward(states)
     err = v[:, 0] - returns
     loss = float(np.mean(err**2))
-    grads, _ = critic.backward(cache, (2.0 * err / len(err))[:, None])
+    grads = critic.backward(cache, (2.0 * err / len(err))[:, None])
     return loss, grads
 
 
@@ -285,7 +286,9 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
 
     The actor ascends the clipped surrogate for at most cfg.max_passes; the
     divergence from the pre-update policy is checked before every pass, so
-    training never continues from an already over-threshold policy.
+    training never continues from an already over-threshold policy.  One
+    actor forward serves each check and the pass after it, so an update
+    makes actor_passes + 1 actor and cfg.max_passes critic forwards.
     """
     if not batch:
         raise DomainError("ppo_update needs a non-empty batch")
@@ -299,29 +302,29 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     new = bundle.copy()
-    old_means = bundle.actor(states)
+    means, cache = new.actor.forward(states)
+    old_means = means
     opt_actor = Adam(new.actor.parameters(), cfg.actor_lr)
-    passes = 0
-    actor_loss = 0.0
-    clip_fraction = 0.0
-    while passes < cfg.max_passes:
-        if _mean_kl(old_means, new.actor(states),
-                    bundle.noise_variance) > cfg.kl_stop:
-            break
+    # the check before the first pass reads KL 0, so the first pass runs
+    for passes in range(1, cfg.max_passes + 1):
         actor_loss, grads, clip_fraction = _actor_loss_grads(
-            new.actor, states, actions, logp_old, adv, cfg.clip,
+            new.actor, means, cache, actions, logp_old, adv, cfg.clip,
             bundle.noise_variance)
+        del cache   # at most one batch of activations alive at a time
         opt_actor.step(grads)
-        passes += 1
+        means, cache = new.actor.forward(states)
+        kl = _mean_kl(old_means, means, bundle.noise_variance)
+        if kl > cfg.kl_stop:
+            break
+    del cache   # and none through the critic passes
 
     opt_critic = Adam(new.critic.parameters(), cfg.critic_lr)
-    critic_loss = 0.0
     for _ in range(cfg.max_passes):
         critic_loss, grads = _critic_loss_grads(new.critic, states, returns)
         opt_critic.step(grads)
 
     diagnostics = {
-        "kl": _mean_kl(old_means, new.actor(states), bundle.noise_variance),
+        "kl": kl,
         "clip_fraction": clip_fraction,
         "actor_passes": passes,
         "actor_loss": actor_loss,
@@ -386,7 +389,7 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
         state, _ = env_step(state, np.clip(mean, -ACTION_BOUND, ACTION_BOUND),
                             obj)
     phase1 = result_from_trace(obj.trace[trace_base:])
-    nelder_mead(obj, phase1.best_params)
+    simplex_search(obj, phase1.best_params)
     return obj.result(since=trace_base)
 
 

@@ -190,7 +190,7 @@ def test_criterion_06_ppo_machinery(criterion):
         x = rng.normal(size=(3, 4))
         dout = rng.normal(size=(3, 2))
         _, cache = net.forward(x)
-        grads, _ = net.backward(cache, dout)
+        grads = net.backward(cache, dout)
         for got, num in zip(grads, numeric_grads(net, x, dout)):
             rel = np.abs(got - num) / np.maximum(np.abs(num), 1e-8)
             grad_rel = max(grad_rel, float(rel.max()))
@@ -219,11 +219,12 @@ def test_criterion_06_ppo_machinery(criterion):
     opt_actor = Adam(replica.actor.parameters(), cfg.actor_lr)
     kls = []
     for _ in range(cfg.max_passes):
-        kl = _mean_kl(old_means, replica.actor(states), NOISE_VARIANCE)
+        means, cache = replica.actor.forward(states)
+        kl = _mean_kl(old_means, means, NOISE_VARIANCE)
         if kl > cfg.kl_stop:
             break
         kls.append(kl)
-        _, grads, _ = _actor_loss_grads(replica.actor, states, actions,
+        _, grads, _ = _actor_loss_grads(replica.actor, means, cache, actions,
                                         logp_old, adv, cfg.clip,
                                         NOISE_VARIANCE)
         opt_actor.step(grads)

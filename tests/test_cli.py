@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qaoabench import bench
 from qaoabench.bench import read_records
 from qaoabench.cli import load_config, main, read_sstar
 from qaoabench.errors import ConfigError
@@ -240,11 +241,25 @@ def test_report_missing_records_exits_one(tmp_path, capsys):
 
 
 def test_bench_learned_without_model_exits_one(tmp_path, capsys):
-    rc = main(["bench", "--suite", "train", "--p", "1", "--roster", "kde",
+    rc = main(["bench", "--suite", "train", "--p", "1", "--roster", "nm,kde",
                "--budget", "8", "--attempts", "1", "--shots", "16",
                "--out", str(tmp_path / "b")])
     assert rc == 1
     assert "no model for p=1" in capsys.readouterr().err
+
+
+def test_bench_roster_without_nm_fails_before_any_cell(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    out = tmp_path / "b"
+    rc = main(["bench", "--suite", "test", "--p", "1", "--roster", "random",
+               "--max-n", "6", "--exact", "--out", str(out)])
+    assert rc == 1
+    assert "roster ['random'] has no 'nm'" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
 
 
 def test_build_kde_rejects_wrong_schema(tmp_path, capsys):

@@ -309,8 +309,9 @@ def test_actor_first_pass_ratio_is_one():
     bundle = init_policy(1, seed=2)
     traj = collect_episode(K2, bundle, seed=14, normalizer=0.5, steps=8)
     adv = np.linspace(-1, 1, 8)
+    means, cache = bundle.actor.forward(traj.states)
     loss, grads, clip_fraction = _actor_loss_grads(
-        bundle.actor, traj.states, traj.actions, traj.logps, adv,
+        bundle.actor, means, cache, traj.actions, traj.logps, adv,
         clip=0.2, variance=NOISE_VARIANCE)
     assert clip_fraction == 0.0
     # with ratio == 1 the surrogate is just -mean(adv)
@@ -362,11 +363,12 @@ def test_ppo_kl_checked_before_every_pass():
     opt = Adam(replica.actor.parameters(), cfg.actor_lr)
     kls_before_passes = []
     for _ in range(cfg.max_passes):
-        kl = _mean_kl(old_means, replica.actor(states), NOISE_VARIANCE)
+        means, cache = replica.actor.forward(states)
+        kl = _mean_kl(old_means, means, NOISE_VARIANCE)
         if kl > cfg.kl_stop:
             break
         kls_before_passes.append(kl)
-        _, grads, _ = _actor_loss_grads(replica.actor, states, actions,
+        _, grads, _ = _actor_loss_grads(replica.actor, means, cache, actions,
                                         logp_old, adv, cfg.clip,
                                         NOISE_VARIANCE)
         opt.step(grads)
@@ -423,14 +425,15 @@ def test_train_runs_on_suite_items_and_rejects_empty():
         train([], p=1, cfg=cfg, seed=0)
 
 
-def count_forwards(monkeypatch, bundle):
-    """Patch Mlp.forward to count calls on the bundle's actor and critic."""
+def count_forwards(monkeypatch):
+    """Patch Mlp.forward to count actor and critic calls, told apart by
+    their heads, so the copies ppo_update trains count too."""
     calls = {"actor": 0, "critic": 0}
-    names = {id(bundle.actor): "actor", id(bundle.critic): "critic"}
+    names = {"scaled_tanh": "actor", "linear": "critic"}
     forward = Mlp.forward
 
     def counted(net, x):
-        calls[names[id(net)]] += 1
+        calls[names[net.head]] += 1
         return forward(net, x)
 
     monkeypatch.setattr(Mlp, "forward", counted)
@@ -439,12 +442,51 @@ def count_forwards(monkeypatch, bundle):
 
 def test_rollout_runs_one_forward_per_net_and_step(monkeypatch):
     bundle = init_policy(1, seed=7)
-    calls = count_forwards(monkeypatch, bundle)
+    calls = count_forwards(monkeypatch)
     collect_episode(K2, bundle, seed=3, normalizer=0.5, steps=10)
     assert calls == {"actor": 10, "critic": 11}   # + 1 bootstrap value
     calls.update(actor=0, critic=0)
     rl_optimize(k2_objective(budget=40), bundle, seed=23)
     assert calls == {"actor": 19, "critic": 0}    # half budget - 1 steps
+
+
+@pytest.mark.parametrize("actor_lr,max_passes,stops_on_kl",
+                         [(2e-3, 80, True), (3e-4, 5, False)])
+def test_ppo_update_runs_one_actor_forward_per_pass(monkeypatch, actor_lr,
+                                                    max_passes, stops_on_kl):
+    bundle = init_policy(1, seed=5)
+    batch = [collect_episode(K2, bundle, seed=16 + i, normalizer=0.5, steps=16)
+             for i in range(4)]
+    cfg = PpoConfig(actor_lr=actor_lr, max_passes=max_passes, epochs=1,
+                    episodes_per_epoch=1)
+    calls = count_forwards(monkeypatch)
+    _, diag = ppo_update(bundle, batch, cfg)
+    assert (diag["actor_passes"] < max_passes) == stops_on_kl
+    assert (diag["kl"] > cfg.kl_stop) == stops_on_kl
+    # one forward before the first pass, one after each
+    assert calls == {"actor": diag["actor_passes"] + 1, "critic": max_passes}
+
+
+def test_rl_optimize_rescores_once(monkeypatch):
+    bundle = init_policy(1, seed=7)
+    obj = k2_objective(budget=40, shots=64, seed=5)
+    rescored = []
+    exact_value = MeteredObjective.exact_value
+
+    def counted(self, params):
+        rescored.append(params)
+        return exact_value(self, params)
+
+    monkeypatch.setattr(MeteredObjective, "exact_value", counted)
+    res = rl_optimize(obj, bundle, seed=23)
+    assert len(rescored) == 1 and rescored[0] is res.best_params
+    # the result is the whole run's, as obj.result reports it
+    expected = obj.result()
+    assert res.best_params is expected.best_params
+    assert res.trace == expected.trace == obj.trace
+    assert (res.best_value, res.evals_used, res.best_exact) == (
+        expected.best_value, expected.evals_used, expected.best_exact)
+    assert res.best_exact == expectation_exact(K2, res.best_params).mean
 
 
 def test_rl_optimize_budget_accounting():
