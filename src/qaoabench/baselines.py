@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .engine import QaoaParams, landscape_grid
+from .engine import QaoaParams
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .objective import MeteredObjective, OptResult
@@ -125,13 +125,3 @@ def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaP
     best = max(r.best_value for r in results)
     return [r.best_params for r in results if r.best_value >= 0.99 * best]
 
-
-def grid_oracle_best(g: Graph, resolution: int) -> tuple[QaoaParams, float]:
-    """Argmax of the exact p=1 landscape on a uniform grid (ties: first)."""
-    if resolution < 16:
-        raise DomainError(f"oracle resolution must be >= 16, got {resolution}")
-    grid = landscape_grid(g, resolution)
-    flat = int(np.argmax(grid.mean))
-    i, j = divmod(flat, resolution)
-    return (QaoaParams([grid.betas[i]], [grid.gammas[j]]),
-            float(grid.mean[i, j]))

@@ -19,7 +19,7 @@ from .artifacts import METRICS_SCHEMA, RECORDS_SCHEMA, TAU_SCHEMA, \
 from .baselines import nelder_mead, random_search
 from .engine import QaoaParams
 from .errors import ConfigError, DomainError
-from .graphs import BRUTEFORCE_MAX_N, group_of, instance_id, \
+from .graphs import MAX_N, group_of, instance_id, \
     max_cut_bruteforce, realize, spec_from_id
 from .kde import kde_optimize
 from .objective import MeteredObjective
@@ -245,7 +245,7 @@ def suite_cut_values(suite) -> dict:
     """Brute-force max cuts for every instance small enough to enumerate."""
     out = {}
     for spec, g in suite:
-        if g.n <= BRUTEFORCE_MAX_N:
+        if g.n <= MAX_N:
             out[instance_id(spec)] = float(max_cut_bruteforce(g).value)
     return out
 
@@ -264,12 +264,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def export_report(table: MetricsTable, records, out_dir,
+def export_report(table: MetricsTable | None, records, out_dir,
                   formats=("csv", "json")) -> list:
     """Write records.csv + tau_long.csv (csv) and metrics.json (json).
 
-    Returns the list of paths written.  Files are deterministic: sorted
-    rows, no timestamps, schema id on the first line.
+    `table` is read only for json.  Returns the list of paths written.
+    Files are deterministic: sorted rows, no timestamps, schema id on the
+    first line.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

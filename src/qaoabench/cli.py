@@ -16,7 +16,7 @@ from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
 from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
-from .engine import Circuit, landscape_grid
+from .engine import energy, landscape_grid
 from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
@@ -161,8 +161,7 @@ def cmd_build_sstar(args, config) -> tuple:
             iid = instance_id(spec)
             admitted = multistart_collect(
                 g, p, starts, derive_seed(seed, "sstar", iid, p))
-            circuit = Circuit(g)
-            best = max(circuit.energy(q).mean for q in admitted)
+            best = max(energy(g, q).mean for q in admitted)
             entries.append({"instance_id": iid, "p": p,
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})
@@ -259,9 +258,11 @@ def cmd_bench(args, config) -> tuple:
              if max_n is None or g.n <= max_n]
     threads = _resolve(args, config, "threads", 1)
     records = run_bench(items, roster, cfg, models, threads=threads)
-    table = compute_metrics(records, suite_cut_values(items))
     out = _out_dir(args)
-    written = export_report(table, records, out)
+    # the records go to disk first, so a failure in the metrics keeps them
+    written = export_report(None, records, out, formats=("csv",))
+    table = compute_metrics(records, suite_cut_values(items))
+    written += export_report(table, records, out, formats=("json",))
     print(f"wrote {len(records)} records to {out}")
     return ({"suite": suite_name, "p": list(depths), "roster": list(roster),
              "budget": cfg.budget, "attempts": cfg.attempts, "shots": shots,

@@ -7,7 +7,9 @@ single-qubit rotations cos(beta)*I - i*sin(beta)*X on every qubit.
 
 State layout is little-endian (qubit q = bit q of the index).  Angles wrap
 into [-pi, pi] on construction; the spectrum is integer-valued, so wrapping
-never changes an energy.
+never changes an energy.  The cut diagonal belongs to the graph
+(`Graph.cuts`), so each instance builds it once however often it is
+evaluated.
 """
 
 import math
@@ -16,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .graphs import Graph
 from .seeding import stream_rng
-
-SIM_MAX_N = 24
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,75 +77,51 @@ class EnergyValue:
     stderr: float = 0.0
 
 
-def cut_diagonal(g: Graph) -> np.ndarray:
-    """Cut size per basis state, length 2^n (int32)."""
-    if g.n > SIM_MAX_N:
-        raise ResourceLimitError(f"simulator capped at n={SIM_MAX_N}, got {g.n}")
-    return kernels.cut_diagonal(g.n, g.edge_array())
-
-
-class Circuit:
-    """The ansatz of one graph, compiled for repeated evaluation at any depth.
-
-    Holds the cut diagonal and the phase levels 0..max cut, both built once.
-    Every energy in the package is computed here.  Kernels are looked up on
-    the `kernels` module at call time, never bound to a local name.
-    """
-
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.cuts = cut_diagonal(g)
-        self.levels = np.arange(int(self.cuts.max()) + 1, dtype=np.float64)
-
-    def evolve(self, params: QaoaParams) -> np.ndarray:
-        """Apply all p layers to the uniform state; returns fresh amplitudes."""
-        size = self.cuts.size
-        amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-        for k in range(params.p):
-            table = np.exp(-1j * params.gammas[k] * self.levels)
-            kernels.apply_phase(amps, self.cuts, table)
-            beta = params.betas[k]
-            kernels.apply_mixer(amps, self.n, math.cos(beta),
-                                -1j * math.sin(beta))
-        return amps
-
-    def energy(self, params: QaoaParams, shots: int | None = None,
-               rng=None) -> EnergyValue:
-        """Exact expected cut size, or the mean of `shots` measurements
-        drawn with `rng`."""
-        amps = self.evolve(params)
-        probs = amps.real**2 + amps.imag**2
-        if shots is None:
-            # np.sum reduces pairwise, which keeps the error well under 1e-10
-            # even for 2^20 terms; np.dot would go through BLAS with no such
-            # bound.
-            return EnergyValue(mean=float(np.sum(probs * self.cuts)))
-        probs /= probs.sum()
-        counts = rng.multinomial(shots, probs)
-        mean = float(np.sum(counts * self.cuts) / shots)
-        if shots > 1:
-            var = float(np.sum(counts * (self.cuts - mean) ** 2) / (shots - 1))
-        else:
-            var = 0.0
-        return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
-
-
 def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
-    """Statevector after the depth-p circuit (2^n complex amplitudes)."""
-    return Circuit(g).evolve(params)
+    """Apply all p layers to the uniform state; returns fresh amplitudes.
+
+    Reads the graph's cached cut diagonal.  Kernels are looked up on the
+    `kernels` module at call time, never bound to a local name.
+    """
+    cuts = g.cuts
+    levels = np.arange(g.num_edges + 1, dtype=np.float64)
+    amps = np.full(cuts.size, 1.0 / math.sqrt(cuts.size), dtype=np.complex128)
+    for k in range(params.p):
+        table = np.exp(-1j * params.gammas[k] * levels)
+        kernels.apply_phase(amps, cuts, table)
+        beta = params.betas[k]
+        kernels.apply_mixer(amps, g.n, math.cos(beta), -1j * math.sin(beta))
+    return amps
 
 
-def expectation_exact(g: Graph, params: QaoaParams) -> EnergyValue:
-    """Exact expected cut size of the evolved state."""
-    return Circuit(g).energy(params)
+def energy(g: Graph, params: QaoaParams, shots: int | None = None,
+           rng=None) -> EnergyValue:
+    """Exact expected cut size, or the mean of `shots` measurements drawn
+    with `rng`.  Every energy in the package is computed here."""
+    cuts = g.cuts
+    amps = evolve(g, params)
+    probs = amps.real**2 + amps.imag**2
+    if shots is None:
+        # np.sum reduces pairwise, which keeps the error well under 1e-10
+        # even for 2^20 terms; np.dot would go through BLAS with no such
+        # bound.
+        return EnergyValue(mean=float(np.sum(probs * cuts)))
+    probs /= probs.sum()
+    counts = rng.multinomial(shots, probs)
+    mean = float(np.sum(counts * cuts) / shots)
+    if shots > 1:
+        var = float(np.sum(counts * (cuts - mean) ** 2) / (shots - 1))
+    else:
+        var = 0.0
+    return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
 
 
 def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
                         seed: int) -> EnergyValue:
     """Energy from `shots` simulated measurements; deterministic per seed."""
     if shots < 1:
-        raise DomainError("shots must be >= 1; use expectation_exact for exact")
-    return Circuit(g).energy(params, shots, stream_rng(seed, "shots"))
+        raise DomainError("shots must be >= 1; use energy(g, params) for exact")
+    return energy(g, params, shots, stream_rng(seed, "shots"))
 
 
 @dataclass
@@ -174,13 +150,12 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     axis = np.linspace(-math.pi, math.pi, resolution)
-    circuit = Circuit(g)
     mean = np.zeros((resolution, resolution))
     stderr = np.zeros((resolution, resolution))
     for i, beta in enumerate(axis):
         for j, gamma in enumerate(axis):
             rng = None if shots is None else stream_rng(seed, "landscape", i, j)
-            ev = circuit.energy(QaoaParams([beta], [gamma]), shots, rng)
+            ev = energy(g, QaoaParams([beta], [gamma]), shots, rng)
             mean[i, j] = ev.mean
             stderr[i, j] = ev.stderr
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),

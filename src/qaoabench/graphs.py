@@ -7,14 +7,16 @@ with u < v.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, ResourceLimitError
-from .kernels import bruteforce_best
 from .seeding import stream_rng
 
-BRUTEFORCE_MAX_N = 24
+# one cap on every 2^n table: cut diagonals, statevectors, brute force
+MAX_N = 24
 
 GRAPH_CLASSES = ("random", "ladder", "barbell", "caveman")
 
@@ -58,10 +60,14 @@ class Graph:
             return np.zeros((0, 2), dtype=np.int64)
         return np.asarray(self.edges, dtype=np.int64)
 
-    def cut_of(self, assignment) -> int:
-        """Cut size of a +/-1 (or 0/1) partition vector."""
-        a = np.asarray(assignment)
-        return int(sum(1 for (u, v) in self.edges if a[u] != a[v]))
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Cut size per basis state, length 2^n (int32), built on first use
+        and kept for the graph's lifetime."""
+        if self.n > MAX_N:
+            raise ResourceLimitError(f"2^n tables capped at n={MAX_N}, "
+                                     f"got n={self.n}")
+        return kernels.cut_diagonal(self.n, self.edge_array())
 
 
 @dataclass(frozen=True)
@@ -265,10 +271,9 @@ def max_cut_bruteforce(g: Graph) -> CutResult:
     symmetry covers the other half); among optimal assignments the one with
     the lowest bitstring value wins.
     """
-    if g.n > BRUTEFORCE_MAX_N:
-        raise ResourceLimitError(
-            f"brute force capped at n={BRUTEFORCE_MAX_N}, got n={g.n}")
-    value, z = bruteforce_best(g.n, g.edge_array())
+    if g.n > MAX_N:
+        raise ResourceLimitError(f"brute force capped at n={MAX_N}, got n={g.n}")
+    value, z = kernels.bruteforce_best(g.n, g.edge_array())
     bits = [(int(z) >> i) & 1 for i in range(g.n)]
     assignment = tuple(1 - 2 * b for b in bits)
     return CutResult(value=int(value), assignment=assignment)

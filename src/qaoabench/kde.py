@@ -80,18 +80,6 @@ def kde_fit(s_star, bandwidth="auto") -> KdeModel:
     return KdeModel(centers=centers, bandwidth=omega, depth=d // 2)
 
 
-def kde_density(model: KdeModel, x) -> float:
-    """Mixture density (1/N) sum_i (2 pi w^2)^(-d/2) exp(-|x-x_i|^2 / 2 w^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    n, d = model.centers.shape
-    if x.shape != (d,):
-        raise DomainError(f"point has shape {x.shape}, model dimension is {d}")
-    w2 = model.bandwidth ** 2
-    sq = np.sum((model.centers - x) ** 2, axis=1)
-    norm = (2.0 * math.pi * w2) ** (-d / 2.0)
-    return float(norm * np.mean(np.exp(-sq / (2.0 * w2))))
-
-
 def sample_vectors(model: KdeModel, m: int, seed: int) -> np.ndarray:
     """(m, d) array of mixture draws wrapped into [-pi, pi]^d."""
     if m < 1:

@@ -7,8 +7,9 @@ because nothing can sneak extra circuit evaluations.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
-from .engine import Circuit, EnergyValue, QaoaParams
+from .engine import EnergyValue, QaoaParams, energy
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import stream_rng
@@ -42,7 +43,6 @@ class MeteredObjective:
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
         self._fn = fn
-        self.circuit = None
         self.graph = None
         self.budget = budget
         self.depth = depth
@@ -54,11 +54,12 @@ class MeteredObjective:
     @classmethod
     def for_graph(cls, g: Graph, depth: int, budget: int,
                   shots: int | None = None, seed: int = 0) -> "MeteredObjective":
-        """Meter the energy of `g`; the circuit is compiled once."""
-        circuit = Circuit(g)
-        obj = cls(circuit.energy, budget, depth=depth, shots=shots, seed=seed)
+        """Meter the energy of `g`.  Touches `g.cuts`, so a graph past the
+        size cap fails here, before any evaluation."""
+        g.cuts
+        obj = cls(partial(energy, g), budget, depth=depth, shots=shots,
+                  seed=seed)
         obj.graph = g
-        obj.circuit = circuit
         return obj
 
     @classmethod
@@ -88,10 +89,10 @@ class MeteredObjective:
 
     def exact_value(self, params: QaoaParams) -> float | None:
         """Exact energy at `params`, outside the budget; None for
-        `for_function` objectives, which have no circuit."""
-        if self.circuit is None:
+        `for_function` objectives, which have no graph."""
+        if self.graph is None:
             return None
-        return self.circuit.energy(params).mean
+        return energy(self.graph, params).mean
 
     def result(self, since: int = 0) -> OptResult:
         """Best-ever point over trace[since:] (first occurrence wins ties).

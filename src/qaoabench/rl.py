@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import POLICY_SCHEMA, read_json, write_json
-from .engine import Circuit, QaoaParams
+from .engine import QaoaParams, energy
 from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
@@ -95,11 +95,10 @@ def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
     if not g.edges:
         return 1.0
     rng = stream_rng(seed, "normalizer")
-    circuit = Circuit(g)
     total = 0.0
     for _ in range(n_probe):
         params = QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2 * p))
-        total += circuit.energy(params).mean
+        total += energy(g, params).mean
     return total / n_probe
 
 

@@ -6,9 +6,13 @@ reference diagonalizes the full mixer matrix instead of applying per-qubit
 rotations.  Agreement between the two code paths is therefore meaningful.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from qaoabench.engine import QaoaParams, landscape_grid
+from qaoabench.errors import DomainError
 from qaoabench.graphs import Graph
 
 
@@ -59,6 +63,35 @@ def random_graph(rng, n_min=2, n_max=6):
     if not edges:
         edges = [(0, 1)]
     return Graph(n, tuple(edges))
+
+
+def cut_of(g, assignment) -> int:
+    """Cut size of a +/-1 (or 0/1) partition vector."""
+    a = np.asarray(assignment)
+    return int(sum(1 for (u, v) in g.edges if a[u] != a[v]))
+
+
+def grid_oracle_best(g, resolution):
+    """Argmax of the exact p=1 landscape on a uniform grid (ties: first)."""
+    if resolution < 16:
+        raise DomainError(f"oracle resolution must be >= 16, got {resolution}")
+    grid = landscape_grid(g, resolution)
+    flat = int(np.argmax(grid.mean))
+    i, j = divmod(flat, resolution)
+    return (QaoaParams([grid.betas[i]], [grid.gammas[j]]),
+            float(grid.mean[i, j]))
+
+
+def kde_density(model, x) -> float:
+    """Mixture density (1/N) sum_i (2 pi w^2)^(-d/2) exp(-|x-x_i|^2 / 2 w^2)."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = model.centers.shape
+    if x.shape != (d,):
+        raise DomainError(f"point has shape {x.shape}, model dimension is {d}")
+    w2 = model.bandwidth ** 2
+    sq = np.sum((model.centers - x) ** 2, axis=1)
+    norm = (2.0 * math.pi * w2) ** (-d / 2.0)
+    return float(norm * np.mean(np.exp(-sq / (2.0 * w2))))
 
 
 # Frozen reference values.  Each was computed with the pure-python and

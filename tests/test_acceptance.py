@@ -21,8 +21,7 @@ from qaoabench.baselines import multistart_collect
 from qaoabench.bench import (BenchConfig, approximation_ratios, gap_reduction,
                              optimality_ratios, run_bench, suite_cut_values)
 from qaoabench.cli import main as cli_main
-from qaoabench.engine import (QaoaParams, cut_diagonal, evolve,
-                              expectation_exact, expectation_sampled)
+from qaoabench.engine import QaoaParams, energy, evolve, expectation_sampled
 from qaoabench.graphs import Graph, group_of, instance_id, max_cut_bruteforce
 from qaoabench.kde import KdeModel, kde_fit, sample_vectors
 from qaoabench.nets import Adam
@@ -99,7 +98,7 @@ def test_criterion_02_uniform_state_energy(criterion, train_set, test_set):
     worst = 0.0
     for g in graphs:
         zero = QaoaParams([0.0], [0.0])
-        dev = abs(expectation_exact(g, zero).mean - len(g.edges) / 2.0)
+        dev = abs(energy(g, zero).mean - len(g.edges) / 2.0)
         worst = max(worst, dev)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -124,7 +123,7 @@ def test_criterion_03_shot_statistics(criterion, test_set):
         iid = instance_id(spec)
         prng = np.random.default_rng(derive_seed(7, "crit3", iid))
         params = QaoaParams.from_vector(prng.uniform(-math.pi, math.pi, 2))
-        exact = expectation_exact(g, params).mean
+        exact = energy(g, params).mean
         hits = 0
         for seed in range(100):
             ev = expectation_sampled(g, params, 1024, seed)
@@ -147,7 +146,7 @@ def test_criterion_04_cut_oracle_cross_check(criterion, train_set, test_set):
     graphs = [g for _, g in train_set + test_set if g.n <= 16]
     bad = 0
     for g in graphs:
-        if float(np.max(cut_diagonal(g))) != float(max_cut_bruteforce(g).value):
+        if float(np.max(g.cuts)) != float(max_cut_bruteforce(g).value):
             bad += 1
     assert criterion(4, bad == 0,
                      f"{len(graphs)} graphs, {bad} oracle mismatches")

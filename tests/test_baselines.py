@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grid_oracle_best
 from qaoabench.baselines import (
-    grid_oracle_best,
     multistart_collect,
     nelder_mead,
     random_search,
 )
-from qaoabench.engine import QaoaParams, expectation_exact
+from qaoabench.engine import QaoaParams, energy
 from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_erdos_renyi, gen_ladder
 from qaoabench.objective import MeteredObjective
@@ -143,14 +143,14 @@ def test_multistart_admission_rule():
     g = gen_ladder(2)
     pts = multistart_collect(g, p=1, n_starts=12, seed=1)
     assert 1 <= len(pts) <= 12
-    values = [expectation_exact(g, q).mean for q in pts]
+    values = [energy(g, q).mean for q in pts]
     best = max(values)
     assert all(v >= 0.99 * best - 1e-12 for v in values)
 
 
 def test_multistart_k2_reaches_optimum():
     pts = multistart_collect(K2, p=1, n_starts=30, seed=2)
-    values = [expectation_exact(K2, q).mean for q in pts]
+    values = [energy(K2, q).mean for q in pts]
     assert max(values) >= 0.99  # true optimum is 1.0
 
 
@@ -165,7 +165,7 @@ def test_grid_oracle_monotone_in_resolution():
     _, v128 = grid_oracle_best(g, 128)
     assert v128 >= v64 - 1e-12
     params, value = grid_oracle_best(g, 64)
-    assert expectation_exact(g, params).mean == pytest.approx(value)
+    assert energy(g, params).mean == pytest.approx(value)
 
 
 def test_grid_oracle_validation_and_edgeless():

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from qaoabench import bench
+from qaoabench import bench, cli
 from qaoabench.bench import read_records
 from qaoabench.cli import load_config, main, read_sstar
-from qaoabench.errors import ConfigError
+from qaoabench.errors import ConfigError, DomainError
 from qaoabench.graphs import instance_id
 from qaoabench.kde import kde_load
 from qaoabench.rl import load_policy
@@ -394,3 +394,19 @@ def test_config_depths_honored(tmp_path):
     assert (out / "sstar-p1.json").exists()
     assert not (out / "sstar-p2.json").exists()
     assert not (out / "sstar-p4.json").exists()
+
+
+def test_bench_keeps_records_when_metrics_fail(tmp_path, capsys, monkeypatch):
+    def broken(records, cut_values):
+        raise DomainError("metrics failed")
+
+    monkeypatch.setattr(cli, "compute_metrics", broken)
+    out = tmp_path / "b"
+    rc = main(["bench", "--suite", "test", "--p", "1", "--roster", "random,nm",
+               "--budget", "8", "--attempts", "1", "--exact", "--max-n", "6",
+               "--out", str(out)])
+    assert rc == 1
+    assert "metrics failed" in capsys.readouterr().err
+    records = read_records(out / "records.csv")
+    assert {r.optimizer for r in records} == {"random", "nm"}
+    assert not (out / "metrics.json").exists()

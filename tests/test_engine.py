@@ -9,19 +9,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
                       dense_reference, random_graph)
 from qaoabench.engine import (
-    Circuit,
     EnergyValue,
     LandscapeGrid,
     QaoaParams,
-    cut_diagonal,
+    energy,
     evolve,
-    expectation_exact,
     expectation_sampled,
     landscape_grid,
     wrap_angles,
 )
 from qaoabench.errors import DomainError, ResourceLimitError
-from qaoabench.graphs import Graph, gen_caveman, gen_erdos_renyi, gen_ladder
+from qaoabench.graphs import MAX_N, Graph, gen_caveman, gen_erdos_renyi, gen_ladder
 from qaoabench.seeding import stream_rng
 
 
@@ -67,8 +65,8 @@ def test_params_vector_round_trip():
        st.integers(-3, 3))
 def test_energy_is_2pi_periodic(beta, gamma, kb, kg):
     g = gen_ladder(2)
-    base = expectation_exact(g, QaoaParams([beta], [gamma])).mean
-    shifted = expectation_exact(
+    base = energy(g, QaoaParams([beta], [gamma])).mean
+    shifted = energy(
         g, QaoaParams([beta + 2 * math.pi * kb], [gamma + 2 * math.pi * kg])).mean
     assert abs(base - shifted) < 1e-9
 
@@ -79,34 +77,38 @@ def test_energy_value_defaults():
 
 
 def test_cut_diagonal_k2():
-    np.testing.assert_array_equal(cut_diagonal(K2), [0, 1, 1, 0])
+    np.testing.assert_array_equal(K2.cuts, [0, 1, 1, 0])
+    assert K2.cuts.dtype == np.int32
 
 
 def test_cut_diagonal_edgeless():
-    np.testing.assert_array_equal(cut_diagonal(Graph(3, ())), np.zeros(8))
+    np.testing.assert_array_equal(Graph(3, ()).cuts, np.zeros(8))
 
 
 def test_cut_diagonal_matches_python():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = random_graph(rng, 2, 9)
-        np.testing.assert_array_equal(cut_diagonal(g), cuts_py(g.n, g.edges))
+        np.testing.assert_array_equal(g.cuts, cuts_py(g.n, g.edges))
 
 
 def test_cut_diagonal_complement_symmetry():
     g = gen_erdos_renyi(7, 0.6, 4)
-    cuts = cut_diagonal(g)
+    cuts = g.cuts
     mask = (1 << g.n) - 1
     np.testing.assert_array_equal(cuts, cuts[mask - np.arange(1 << g.n)])
 
 
 def test_cut_diagonal_ladder_max():
-    assert int(cut_diagonal(gen_ladder(2)).max()) == 4
+    assert int(gen_ladder(2).cuts.max()) == 4
 
 
 def test_simulator_size_cap():
+    big = Graph(MAX_N + 1, ((0, 1),))
     with pytest.raises(ResourceLimitError):
-        cut_diagonal(Graph(25, ((0, 1),)))
+        big.cuts
+    with pytest.raises(ResourceLimitError):
+        energy(big, QaoaParams([0.1], [0.2]))
 
 
 def test_zero_angles_keep_uniform_state():
@@ -117,7 +119,7 @@ def test_zero_angles_keep_uniform_state():
 
 def test_zero_angles_energy_is_half_edges():
     for g in (K2, gen_ladder(3), gen_caveman(2, 4), gen_erdos_renyi(10, 0.7, 5)):
-        ev = expectation_exact(g, QaoaParams([0.0], [0.0]))
+        ev = energy(g, QaoaParams([0.0], [0.0]))
         assert abs(ev.mean - g.num_edges / 2.0) < 1e-12
 
 
@@ -152,21 +154,23 @@ def test_evolve_matches_dense_reference():
             assert np.max(np.abs(fast - ref)) < 1e-10
 
 
-def test_circuit_energy_is_the_public_energies():
+def test_energy_reads_the_graph_diagonal():
     rng = np.random.default_rng(29)
     for p in (1, 2):
         g = random_graph(rng, 3, 8)
-        circuit = Circuit(g)
-        assert circuit.n == g.n
-        np.testing.assert_array_equal(circuit.levels,
-                                      np.arange(max(cuts_py(g.n, g.edges)) + 1))
+        cuts = g.cuts
+        assert g.cuts is cuts            # built once, kept by the graph
         params = QaoaParams(rng.uniform(-math.pi, math.pi, p),
                             rng.uniform(-math.pi, math.pi, p))
-        assert circuit.energy(params) == expectation_exact(g, params)
-        np.testing.assert_array_equal(circuit.evolve(params), evolve(g, params))
+        amps = evolve(g, params)
+        probs = np.abs(amps) ** 2
+        assert energy(g, params).mean == pytest.approx(
+            float(probs @ np.array(cuts_py(g.n, g.edges))), abs=1e-12)
+        assert energy(g, params) == energy(g, params)
         # the substream expectation_sampled draws from
-        assert circuit.energy(params, 256, stream_rng(5, "shots")) == \
+        assert energy(g, params, 256, stream_rng(5, "shots")) == \
             expectation_sampled(g, params, 256, seed=5)
+        assert g.cuts is cuts
 
 
 def test_single_edge_closed_form():
@@ -174,21 +178,21 @@ def test_single_edge_closed_form():
     #   f(beta, gamma) = (1 + sin(4*beta) * sin(gamma)) / 2, peak at (pi/8, pi/2)
     for beta, gamma in [(0.2, 0.3), (math.pi / 8, math.pi / 2), (-0.9, 1.7),
                         (1.2, -2.5)]:
-        got = expectation_exact(K2, QaoaParams([beta], [gamma])).mean
+        got = energy(K2, QaoaParams([beta], [gamma])).mean
         want = 0.5 * (1.0 + math.sin(4 * beta) * math.sin(gamma))
         assert abs(got - want) < 1e-12
-    assert abs(expectation_exact(
+    assert abs(energy(
         K2, QaoaParams([math.pi / 8], [math.pi / 2])).mean - 1.0) < 1e-12
 
 
 def test_pinned_energies():
     g8 = gen_erdos_renyi(8, 0.5, 1)
-    got = expectation_exact(g8, QaoaParams([0.7], [-1.2])).mean
+    got = energy(g8, QaoaParams([0.7], [-1.2])).mean
     assert abs(got - PIN_ER8_P1) < 1e-12
     assert abs(dense_energy(8, g8.edges, [0.7], [-1.2]) - PIN_ER8_P1) < 1e-12
 
     gc = gen_caveman(2, 4)
-    got2 = expectation_exact(gc, QaoaParams([0.35, -0.9], [1.1, 0.45])).mean
+    got2 = energy(gc, QaoaParams([0.35, -0.9], [1.1, 0.45])).mean
     assert abs(got2 - PIN_CAVE24_P2) < 1e-12
 
 
@@ -217,7 +221,7 @@ def test_sampled_single_shot_and_edgeless():
 def test_sampled_tracks_exact():
     g = gen_erdos_renyi(8, 0.6, 3)
     params = QaoaParams([0.5], [-0.7])
-    exact = expectation_exact(g, params).mean
+    exact = energy(g, params).mean
     ev = expectation_sampled(g, params, 16384, seed=1)
     assert abs(ev.mean - exact) < 6 * ev.stderr + 1e-9
 

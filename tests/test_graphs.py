@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cuts_py, random_graph, ER8_SEED1_EDGES
+from conftest import cut_of, cuts_py, random_graph, ER8_SEED1_EDGES
 from qaoabench.errors import DomainError, ResourceLimitError
 from qaoabench.graphs import (
-    BRUTEFORCE_MAX_N,
+    MAX_N,
     Graph,
     InstanceSpec,
     TRAIN_ER_SEEDS,
@@ -48,7 +48,7 @@ def test_cut_of_matches_python_counter():
     ref = cuts_py(4, g.edges)
     for z in range(16):
         assign = tuple(-1 if (z >> i) & 1 else 1 for i in range(4))
-        assert g.cut_of(assign) == ref[z]
+        assert cut_of(g, assign) == ref[z]
 
 
 def test_erdos_renyi_extremes_and_determinism():
@@ -190,7 +190,7 @@ def test_bruteforce_assignment_consistency():
     for _ in range(20):
         g = random_graph(rng, 2, 8)
         res = max_cut_bruteforce(g)
-        assert g.cut_of(res.assignment) == res.value
+        assert cut_of(g, res.assignment) == res.value
         assert res.value == max(cuts_py(g.n, g.edges))
 
 
@@ -209,7 +209,7 @@ def test_bruteforce_tie_break_is_frozen():
 
 
 def test_bruteforce_size_cap():
-    big = Graph(BRUTEFORCE_MAX_N + 1, ((0, 1),))
+    big = Graph(MAX_N + 1, ((0, 1),))
     with pytest.raises(ResourceLimitError):
         max_cut_bruteforce(big)
 

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qaoabench.baselines import grid_oracle_best, multistart_collect
+from conftest import grid_oracle_best, kde_density
+from qaoabench.baselines import multistart_collect
 from qaoabench.engine import QaoaParams
 from qaoabench.errors import DomainError
 from qaoabench.graphs import Graph
 from qaoabench.kde import (
     BANDWIDTH_FLOOR,
     KdeModel,
-    kde_density,
     kde_fit,
     kde_load,
     kde_optimize,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaoabench.baselines import nelder_mead, random_search
-from qaoabench.engine import QaoaParams, expectation_exact
+from qaoabench.engine import QaoaParams, energy
 from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.kde import kde_fit, kde_optimize
@@ -51,7 +51,7 @@ def test_exact_mode_matches_expectation():
     obj = MeteredObjective.for_graph(g, depth=1, budget=4)
     ev = obj(P0)
     assert ev.shots == 0
-    assert ev.mean == expectation_exact(g, P0).mean
+    assert ev.mean == energy(g, P0).mean
 
 
 def test_noise_is_reproducible_and_per_call():
@@ -71,7 +71,7 @@ def test_result_exact_mode():
     obj = MeteredObjective.for_graph(g, depth=1, budget=8)
     points = [QaoaParams([b], [0.8]) for b in (0.1, 0.9, 0.4)]
     # best point first, so that since=1 has to skip it
-    points.sort(key=lambda q: -expectation_exact(g, q).mean)
+    points.sort(key=lambda q: -energy(g, q).mean)
     for q in points:
         obj(q)
     res = obj.result()
@@ -79,7 +79,7 @@ def test_result_exact_mode():
     assert res.best_params is points[0]
     assert res.best_value == max(ev.mean for _, ev in obj.trace)
     assert res.best_exact == res.best_value
-    assert res.best_exact == expectation_exact(g, res.best_params).mean
+    assert res.best_exact == energy(g, res.best_params).mean
     tail = obj.result(since=1)
     assert tail.evals_used == 2
     assert tail.trace == obj.trace[1:]
@@ -94,13 +94,13 @@ def test_result_sampled_mode_rescored_exactly():
     for b in (0.1, 0.9, 0.4):
         obj(QaoaParams([b], [0.8]))
     res = obj.result()
-    assert res.best_exact == expectation_exact(g, res.best_params).mean
+    assert res.best_exact == energy(g, res.best_params).mean
     assert obj.calls == 3  # re-scoring did not consume budget
     tail = obj.result(since=1)
     assert tail.evals_used == 2
     assert tail.best_params in (obj.trace[1][0], obj.trace[2][0])
     assert tail.best_value == max(obj.trace[1][1].mean, obj.trace[2][1].mean)
-    assert tail.best_exact == expectation_exact(g, tail.best_params).mean
+    assert tail.best_exact == energy(g, tail.best_params).mean
     assert obj.calls == 3
 
 

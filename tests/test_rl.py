@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qaoabench.engine import QaoaParams, expectation_exact
+from qaoabench.engine import QaoaParams, energy
 from qaoabench.errors import BudgetExhaustedError, ConfigError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.nets import Adam, Mlp
@@ -107,7 +107,7 @@ def test_env_reset_shape_and_cost():
     assert state.history.shape == (HISTORY_LEN, 3)
     assert np.all(state.history == 0.0)
     assert state.flatten().shape == (12,)
-    assert state.current_f == expectation_exact(K2, state.current).mean
+    assert state.current_f == energy(K2, state.current).mean
 
 
 def test_env_reset_deterministic_and_start_override():
@@ -486,7 +486,7 @@ def test_rl_optimize_rescores_once(monkeypatch):
     assert res.trace == expected.trace == obj.trace
     assert (res.best_value, res.evals_used, res.best_exact) == (
         expected.best_value, expected.evals_used, expected.best_exact)
-    assert res.best_exact == expectation_exact(K2, res.best_params).mean
+    assert res.best_exact == energy(K2, res.best_params).mean
 
 
 def test_rl_optimize_budget_accounting():
