@@ -9,7 +9,10 @@ State layout is little-endian (qubit q = bit q of the index).  Angles wrap
 into [-pi, pi] on construction; the spectrum is integer-valued, so wrapping
 never changes an energy.  The cut diagonal belongs to the graph
 (`Graph.cuts`), so each instance builds it once however often it is
-evaluated.
+evaluated.  The mixer applies its rotations in fused 4-qubit blocks
+(`kernels.apply_mixer`), and a sampled energy draws its shots over the
+m + 1 cut levels rather than the 2^n basis states: the same law, but not
+the same draws as a per-bitstring multinomial.
 """
 
 import math
@@ -94,23 +97,33 @@ def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
     return amps
 
 
+def level_probs(g: Graph, probs: np.ndarray) -> np.ndarray:
+    """Probability of each cut level 0..m, from the basis-state
+    probabilities `probs`: the law of one measurement's cut size."""
+    return np.bincount(g.cuts, weights=probs, minlength=g.num_edges + 1)
+
+
 def energy(g: Graph, params: QaoaParams, shots: int | None = None,
            rng=None) -> EnergyValue:
     """Exact expected cut size, or the mean of `shots` measurements drawn
-    with `rng`.  Every energy in the package is computed here."""
-    cuts = g.cuts
+    with `rng`.  Every energy in the package is computed here.
+
+    A measurement enters the estimate only through its cut size, so the
+    shots are one multinomial draw over the m + 1 cut levels.
+    """
     amps = evolve(g, params)
     probs = amps.real**2 + amps.imag**2
     if shots is None:
         # np.sum reduces pairwise, which keeps the error well under 1e-10
         # even for 2^20 terms; np.dot would go through BLAS with no such
         # bound.
-        return EnergyValue(mean=float(np.sum(probs * cuts)))
-    probs /= probs.sum()
-    counts = rng.multinomial(shots, probs)
-    mean = float(np.sum(counts * cuts) / shots)
+        return EnergyValue(mean=float(np.sum(probs * g.cuts)))
+    law = level_probs(g, probs)
+    counts = rng.multinomial(shots, law / law.sum())
+    levels = np.arange(law.size)
+    mean = float(counts @ levels) / shots
     if shots > 1:
-        var = float(np.sum(counts * (cuts - mean) ** 2) / (shots - 1))
+        var = float(counts @ (levels - mean) ** 2) / (shots - 1)
     else:
         var = 0.0
     return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
-                      dense_reference, random_graph)
+from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, closed_form_p1, cuts_py,
+                      dense_energy, dense_reference, random_graph)
 from qaoabench.engine import (
     EnergyValue,
     LandscapeGrid,
@@ -16,10 +16,12 @@ from qaoabench.engine import (
     evolve,
     expectation_sampled,
     landscape_grid,
+    level_probs,
     wrap_angles,
 )
 from qaoabench.errors import DomainError, ResourceLimitError
-from qaoabench.graphs import MAX_N, Graph, gen_caveman, gen_erdos_renyi, gen_ladder
+from qaoabench.graphs import (MAX_N, Graph, gen_caveman, gen_erdos_renyi,
+                              gen_ladder, instance_id, suite)
 from qaoabench.seeding import stream_rng
 
 
@@ -143,15 +145,50 @@ def test_state_has_complement_symmetry():
 
 
 def test_evolve_matches_dense_reference():
+    # n = 2..9 covers mixer blocks below, at and past one 4-qubit block
     rng = np.random.default_rng(17)
     for p in (1, 2, 4):
-        for _ in range(5):
-            g = random_graph(rng, 2, 6)
+        for n in range(2, 10):
+            g = random_graph(rng, n, n)
             betas = rng.uniform(-math.pi, math.pi, p)
             gammas = rng.uniform(-math.pi, math.pi, p)
             fast = evolve(g, QaoaParams(betas, gammas))
             ref = dense_reference(g.n, g.edges, betas, gammas)
             assert np.max(np.abs(fast - ref)) < 1e-10
+
+
+def test_energy_matches_p1_closed_form():
+    rng = np.random.default_rng(41)
+    checked = set()
+    for spec, g in suite("test"):
+        if g.n > 18:
+            continue
+        for beta, gamma in rng.uniform(-math.pi, math.pi, (3, 2)):
+            got = energy(g, QaoaParams([beta], [gamma])).mean
+            assert abs(got - closed_form_p1(g, beta, gamma)) < 1e-10
+        checked.add(instance_id(spec))
+    assert {"L-n9", "R-n16-ep0.5-s1"} <= checked
+
+
+@pytest.mark.parametrize("g", [K2, gen_ladder(3), Graph(3, ())],
+                         ids=["K2", "ladder", "edgeless"])
+def test_shots_follow_the_cut_level_law(g):
+    rng = np.random.default_rng(8)
+    params = QaoaParams(rng.uniform(-math.pi, math.pi, 2),
+                        rng.uniform(-math.pi, math.pi, 2))
+    probs = np.abs(evolve(g, params)) ** 2
+    law = level_probs(g, probs)
+    want = np.zeros(g.num_edges + 1)
+    for cut, prob in zip(cuts_py(g.n, g.edges), probs):
+        want[cut] += prob
+    np.testing.assert_allclose(law, want, rtol=0, atol=1e-12)
+    assert abs(np.arange(law.size) @ law - energy(g, params).mean) < 1e-12
+    # the shots are one multinomial draw over the levels
+    counts = stream_rng(3, "shots").multinomial(256, law / law.sum())
+    drawn = energy(g, params, 256, stream_rng(3, "shots"))
+    assert drawn.mean == float(counts @ np.arange(law.size)) / 256
+    single = energy(g, params, 1, stream_rng(3, "shots"))
+    assert single.stderr == 0.0 and single.mean in range(g.num_edges + 1)
 
 
 def test_energy_reads_the_graph_diagonal():
