@@ -129,6 +129,38 @@ def energy(g: Graph, params: QaoaParams, shots: int | None = None,
     return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
 
 
+def energy_p1(g: Graph, betas, gammas) -> np.ndarray:
+    """Exact p = 1 energy at every point of the broadcast angle arrays,
+    from the closed form of Wang, Hadfield, Jiang & Rieffel (PRA 97,
+    022304, arXiv:1706.02998) in this package's sign convention.
+
+    Per edge (u, v), with d_u = deg(u) - 1, d_v = deg(v) - 1 and lam
+    common neighbours:
+      <C_uv> = 1/2 + 1/4 sin(4b) sin(g) (cos^d_u(g) + cos^d_v(g))
+               - 1/4 sin^2(2b) cos^(d_u + d_v - 2 lam)(g) (1 - cos^lam(2g))
+    No state is built, so any n works.  As a function of the angles this
+    is a trigonometric polynomial of degree 4 in beta and at most
+    d_u + d_v <= 2n - 4 in gamma.
+    """
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    du = np.array([len(nbrs[u]) - 1 for u, _ in g.edges], dtype=np.int64)
+    dv = np.array([len(nbrs[v]) - 1 for _, v in g.edges], dtype=np.int64)
+    lam = np.array([len(nbrs[u] & nbrs[v]) for u, v in g.edges],
+                   dtype=np.int64)
+    # one trailing axis over the edges
+    b = np.asarray(betas, dtype=np.float64)[..., None]
+    c = np.asarray(gammas, dtype=np.float64)[..., None]
+    cos_c = np.cos(c)
+    per_edge = (0.5
+                + 0.25 * np.sin(4 * b) * np.sin(c) * (cos_c**du + cos_c**dv)
+                - 0.25 * np.sin(2 * b) ** 2 * cos_c ** (du + dv - 2 * lam)
+                * (1 - np.cos(2 * c) ** lam))
+    return per_edge.sum(axis=-1)
+
+
 def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
                         seed: int) -> EnergyValue:
     """Energy from `shots` simulated measurements; deterministic per seed."""

@@ -55,17 +55,21 @@ def apply_mixer(amps, n, cos_b, msin_b):
 
     The rotations commute, so a block of b qubits is one 2^b x 2^b matrix
     with entry (i, j) = cos_b^(b-h) * msin_b^h, h = popcount(i ^ j).  The
-    matrix is symmetric.  Each block runs over slices of at most SLICE
+    matrix is symmetric and depends only on b, so it is built once per
+    block size and call.  Each block runs over slices of at most SLICE
     amplitudes, each written back in place, so no temporary outgrows the
     cache.
     """
     powers_c = np.power(cos_b, np.arange(BLOCK + 1))
     powers_s = np.power(msin_b, np.arange(BLOCK + 1))
+    mats = {}   # block size -> matrix; every block but a remainder is full
     for q in range(0, n, BLOCK):
         b = min(BLOCK, n - q)
         dim = 1 << b
-        h = _HAMMING[:dim, :dim]
-        mat = powers_c[b - h] * powers_s[h]
+        mat = mats.get(b)
+        if mat is None:
+            h = _HAMMING[:dim, :dim]
+            mat = mats[b] = powers_c[b - h] * powers_s[h]
         if q == 0:
             # one row per group, so one (rows, dim) @ (dim, dim) product
             # (mat is symmetric); a batch of (dim, 1) columns is slower

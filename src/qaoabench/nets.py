@@ -8,6 +8,7 @@ optimizer consumes; correctness is pinned by finite-difference tests.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,18 @@ class Mlp:
                    biases=[b.copy() for b in self.biases],
                    head=self.head, scale=self.scale)
 
-    def forward(self, x: np.ndarray):
+    def buffers(self, rows: int) -> "Buffers":
+        """Work buffers for batched passes over `rows` inputs."""
+        widths = self.sizes[1:-1]
+        return Buffers(*([np.empty((rows, w)) for w in widths]
+                         for _ in range(3)))
+
+    def forward(self, x: np.ndarray, buffers: "Buffers | None" = None):
         """Returns (output, cache), the cache being the (B, width) layer
-        activations, input first; accepts (D,) or (B, D) inputs."""
+        activations, input first; accepts (D,) or (B, D) inputs.  With
+        `buffers` the hidden activations are written there, so the cache
+        holds only until the next forward with the same buffers; the
+        output is always a fresh array."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x.reshape(1, -1) if squeeze else x
@@ -59,15 +69,16 @@ class Mlp:
                 f"input dimension {h.shape[1]} != expected "
                 f"{self.weights[0].shape[0]}")
         acts = [h]
+        last = len(self.weights) - 1
+        outs = [None] * last if buffers is None else buffers.acts
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            last = k == len(self.weights) - 1
-            if not last:
-                h = np.tanh(z)
+            h = np.matmul(h, w, out=outs[k] if k < last else None)
+            h += b
+            if k < last:
+                np.tanh(h, out=h)
             elif self.head == "scaled_tanh":
-                h = self.scale * np.tanh(z)
-            else:
-                h = z
+                np.tanh(h, out=h)
+                h *= self.scale
             acts.append(h)
         out = h[0] if squeeze else h
         return out, acts
@@ -75,25 +86,43 @@ class Mlp:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache, dout: np.ndarray) -> list:
+    def backward(self, cache, dout: np.ndarray,
+                 buffers: "Buffers | None" = None) -> list:
         """Gradients of sum(dout * output) w.r.t. every parameter, ordered
         like parameters(), for a (B, n_out) dout and a batched forward's
-        cache.  No input gradient is computed."""
+        cache.  No input gradient is computed.  With `buffers` the hidden
+        layers' temporaries are written there."""
         g = np.asarray(dout, dtype=np.float64)
         grads = [None] * (2 * len(self.weights))
-        for k in range(len(self.weights) - 1, -1, -1):
+        last = len(self.weights) - 1
+        temps, douts = (([None] * last,) * 2 if buffers is None
+                        else (buffers.temps, buffers.dacts))
+        for k in range(last, -1, -1):
             h_out = cache[k + 1]
-            last = k == len(self.weights) - 1
-            if not last:
-                g = g * (1.0 - h_out**2)          # d tanh(z) = 1 - tanh^2
+            if k < last:
+                # d tanh(z) = 1 - tanh^2
+                t = np.square(h_out, out=temps[k])
+                np.subtract(1.0, t, out=t)
+                g = np.multiply(g, t, out=t)
             elif self.head == "scaled_tanh":
                 t = h_out / self.scale
                 g = g * self.scale * (1.0 - t**2)
             grads[2 * k] = cache[k].T @ g
             grads[2 * k + 1] = g.sum(axis=0)
             if k:
-                g = g @ self.weights[k].T
+                g = np.matmul(g, self.weights[k].T, out=douts[k - 1])
         return grads
+
+
+class Buffers(NamedTuple):
+    """(rows, width) arrays, one per hidden layer in each list, that a
+    loop of batched passes reuses instead of asking the allocator for
+    fresh ones each time: the activations, the gradients with respect to
+    them, and one temporary."""
+
+    acts: list
+    dacts: list
+    temps: list
 
 
 def init_mlp(sizes, head: str, scale: float, rng) -> Mlp:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import POLICY_SCHEMA, read_json, write_json
-from .engine import QaoaParams, energy
+from .engine import TWO_PI, QaoaParams, energy, energy_p1
 from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
@@ -89,11 +89,22 @@ def env_step(state: EnvState, action, obj: MeteredObjective):
 
 def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
                       seed: int = 0) -> float:
-    """Mean exact objective over uniform parameter draws (1 if no edges)."""
+    """Mean exact objective over the angle torus (1 if no edges).
+
+    At p = 1 the mean is exact and costs no evaluation: the closed-form
+    energy is a trigonometric polynomial of degree 4 in beta and at most
+    2n - 4 in gamma, and a uniform grid with more points per axis than
+    that averages it exactly; `n_probe` and `seed` go unused.  At p > 1
+    it is the mean over `n_probe` uniform draws from `seed`'s stream.
+    """
     if n_probe < 1:
         raise DomainError(f"n_probe must be >= 1, got {n_probe}")
     if not g.edges:
         return 1.0
+    if p == 1:
+        betas = TWO_PI * np.arange(5) / 5 - math.pi
+        gammas = TWO_PI * np.arange(2 * g.n - 1) / (2 * g.n - 1) - math.pi
+        return float(np.mean(energy_p1(g, betas[:, None], gammas)))
     rng = stream_rng(seed, "normalizer")
     total = 0.0
     for _ in range(n_probe):
@@ -247,9 +258,9 @@ def discounted_returns(traj: Trajectory, discount: float) -> np.ndarray:
 
 
 def _actor_loss_grads(actor: Mlp, mu, cache, actions, logp_old, adv,
-                      clip: float, variance: float):
+                      clip: float, variance: float, buffers=None):
     """Clipped-surrogate loss and actor gradients at the batched forward
-    `mu, cache = actor.forward(states)`."""
+    `mu, cache = actor.forward(states, buffers)`."""
     batch = mu.shape[0]
     diff = actions - mu
     logp = gaussian_logp(actions, mu, variance)
@@ -261,16 +272,16 @@ def _actor_loss_grads(actor: Mlp, mu, cache, actions, logp_old, adv,
     dmin = np.where(unclipped <= clipped, adv, np.where(inside, adv, 0.0))
     dlogp = -(dmin / batch) * ratio
     dmu = dlogp[:, None] * (diff / variance)
-    grads = actor.backward(cache, dmu)
+    grads = actor.backward(cache, dmu, buffers)
     clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip))
     return loss, grads, clip_fraction
 
 
-def _critic_loss_grads(critic: Mlp, states, returns):
-    v, cache = critic.forward(states)
+def _critic_loss_grads(critic: Mlp, states, returns, buffers):
+    v, cache = critic.forward(states, buffers)
     err = v[:, 0] - returns
     loss = float(np.mean(err**2))
-    grads = critic.backward(cache, (2.0 * err / len(err))[:, None])
+    grads = critic.backward(cache, (2.0 * err / len(err))[:, None], buffers)
     return loss, grads
 
 
@@ -288,6 +299,9 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     training never continues from an already over-threshold policy.  One
     actor forward serves each check and the pass after it, so an update
     makes actor_passes + 1 actor and cfg.max_passes critic forwards.
+    Each net's passes write their batch activations and temporaries into
+    one set of buffers per update (`Mlp.buffers`), so how fast they run
+    does not hang on where the allocator puts fresh arrays.
     """
     if not batch:
         raise DomainError("ppo_update needs a non-empty batch")
@@ -301,25 +315,29 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     new = bundle.copy()
-    means, cache = new.actor.forward(states)
+    buffers = new.actor.buffers(len(states))
+    # a forward's output is never one of the buffers, so later forwards
+    # leave old_means as it is
+    means, cache = new.actor.forward(states, buffers)
     old_means = means
     opt_actor = Adam(new.actor.parameters(), cfg.actor_lr)
     # the check before the first pass reads KL 0, so the first pass runs
     for passes in range(1, cfg.max_passes + 1):
         actor_loss, grads, clip_fraction = _actor_loss_grads(
             new.actor, means, cache, actions, logp_old, adv, cfg.clip,
-            bundle.noise_variance)
-        del cache   # at most one batch of activations alive at a time
+            bundle.noise_variance, buffers)
         opt_actor.step(grads)
-        means, cache = new.actor.forward(states)
+        means, cache = new.actor.forward(states, buffers)
         kl = _mean_kl(old_means, means, bundle.noise_variance)
         if kl > cfg.kl_stop:
             break
-    del cache   # and none through the critic passes
+    del cache, buffers   # one set of buffers alive at a time
 
+    buffers = new.critic.buffers(len(states))
     opt_critic = Adam(new.critic.parameters(), cfg.critic_lr)
     for _ in range(cfg.max_passes):
-        critic_loss, grads = _critic_loss_grads(new.critic, states, returns)
+        critic_loss, grads = _critic_loss_grads(new.critic, states, returns,
+                                                buffers)
         opt_critic.step(grads)
 
     diagnostics = {

@@ -18,12 +18,17 @@ STREAM_VERSION = "qaoabench.philox.sha256.v1"
 _SEP = "\x1f"
 
 
+def _digest(root: int, path) -> bytes:
+    text = _SEP.join([str(int(root))] + [str(p) for p in path])
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
 def seed_sequence(root: int, *path) -> np.random.SeedSequence:
     """SeedSequence for the substream addressed by (root, *path)."""
-    text = _SEP.join([str(int(root))] + [str(p) for p in path])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    words = np.frombuffer(digest, dtype="<u4")
-    return np.random.SeedSequence(entropy=[int(w) for w in words])
+    # the digest's uint32 words as an array: the same state as a list of
+    # ints, without the per-word Python conversions
+    words = np.frombuffer(_digest(root, path), dtype="<u4")
+    return np.random.SeedSequence(entropy=words)
 
 
 def stream_rng(root: int, *path) -> np.random.Generator:
@@ -33,6 +38,4 @@ def stream_rng(root: int, *path) -> np.random.Generator:
 
 def derive_seed(root: int, *path) -> int:
     """Collapse a substream address into a plain 63-bit integer seed."""
-    text = _SEP.join([str(int(root))] + [str(p) for p in path])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") >> 1
+    return int.from_bytes(_digest(root, path)[:8], "little") >> 1

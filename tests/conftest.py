@@ -2,9 +2,10 @@
 
 The reference implementations here deliberately avoid the package's own
 kernels: cut values are counted bit-by-bit in pure Python, the circuit
-reference diagonalizes the full mixer matrix, the mixer reference applies
-one qubit at a time, and the p = 1 energy has a closed form that needs no
-state at all.  Agreement between these code paths is therefore meaningful.
+reference diagonalizes the full mixer matrix and the mixer reference applies
+one qubit at a time.  Agreement between these code paths and the package
+(whose p = 1 closed form, `engine.energy_p1`, needs no state at all) is
+therefore meaningful.
 """
 
 import math
@@ -68,32 +69,6 @@ def mixer_per_qubit(amps, n, cos_b, msin_b):
         a1 = view[:, 1, :]
         view[:, 0, :] = cos_b * a0 + msin_b * a1
         view[:, 1, :] = msin_b * a0 + cos_b * a1
-
-
-def closed_form_p1(g, beta, gamma):
-    """Exact p = 1 energy without a state (Wang, Hadfield, Jiang & Rieffel,
-    PRA 97, 022304, arXiv:1706.02998), in this package's sign convention.
-
-    Per edge (u, v), with d_u = deg(u) - 1, d_v = deg(v) - 1 and lam common
-    neighbours:
-      <C_uv> = 1/2 + 1/4 sin(4b) sin(g) (cos^d_u(g) + cos^d_v(g))
-               - 1/4 sin^2(2b) cos^(d_u + d_v - 2 lam)(g) (1 - cos^lam(2g))
-    """
-    nbrs = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    cg, c2g = math.cos(gamma), math.cos(2 * gamma)
-    total = 0.0
-    for u, v in g.edges:
-        du, dv = len(nbrs[u]) - 1, len(nbrs[v]) - 1
-        lam = len(nbrs[u] & nbrs[v])
-        total += (0.5
-                  + 0.25 * math.sin(4 * beta) * math.sin(gamma)
-                  * (cg ** du + cg ** dv)
-                  - 0.25 * math.sin(2 * beta) ** 2 * cg ** (du + dv - 2 * lam)
-                  * (1 - c2g ** lam))
-    return total
 
 
 def random_graph(rng, n_min=2, n_max=6):

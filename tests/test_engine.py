@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, closed_form_p1, cuts_py,
-                      dense_energy, dense_reference, random_graph)
+from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
+                      dense_reference, random_graph)
 from qaoabench.engine import (
     EnergyValue,
     LandscapeGrid,
     QaoaParams,
     energy,
+    energy_p1,
     evolve,
     expectation_sampled,
     landscape_grid,
@@ -163,11 +164,32 @@ def test_energy_matches_p1_closed_form():
     for spec, g in suite("test"):
         if g.n > 18:
             continue
-        for beta, gamma in rng.uniform(-math.pi, math.pi, (3, 2)):
+        angles = rng.uniform(-math.pi, math.pi, (3, 2))
+        closed = energy_p1(g, angles[:, 0], angles[:, 1])
+        for (beta, gamma), want in zip(angles, closed):
             got = energy(g, QaoaParams([beta], [gamma])).mean
-            assert abs(got - closed_form_p1(g, beta, gamma)) < 1e-10
+            assert abs(got - want) < 1e-10
         checked.add(instance_id(spec))
+    assert len(checked) == 71
     assert {"L-n9", "R-n16-ep0.5-s1"} <= checked
+
+
+def test_p1_closed_form_past_the_statevector_cap():
+    # no 2^n table exists here; the energy is a cut-size mean, so it lies
+    # in [0, m], and with beta = 0 the state stays uniform: m/2
+    rng = np.random.default_rng(43)
+    graphs = [gen_ladder(MAX_N // 2 + 2),
+              gen_erdos_renyi(MAX_N + 6, 0.3, 1),
+              gen_caveman(4, 8)]
+    for g in graphs:
+        assert g.n > MAX_N
+        m = g.num_edges
+        betas = rng.uniform(-math.pi, math.pi, 64)
+        gammas = rng.uniform(-math.pi, math.pi, 64)
+        values = energy_p1(g, betas, gammas)
+        assert values.shape == (64,)
+        assert np.all((values >= 0) & (values <= m))
+        assert np.all(energy_p1(g, 0.0, gammas) == m / 2)
 
 
 @pytest.mark.parametrize("g", [K2, gen_ladder(3), Graph(3, ())],

@@ -45,3 +45,20 @@ def test_seed_sequence_spawns_generator():
 def test_stream_version_pinned():
     # changing the derivation scheme must be an explicit, versioned decision
     assert STREAM_VERSION == "qaoabench.philox.sha256.v1"
+
+
+def test_streams_pinned_to_literal_draws():
+    # recorded when the entropy was still passed as a list of Python ints;
+    # any faster derivation must reproduce them bit for bit
+    assert stream_rng(0, "shots").random(3).tolist() == [
+        0.056193931920701434, 0.9742714666303143, 0.828552215559272]
+    assert stream_rng(7, "bench", "L-n4", 1, "nm", 3).integers(
+        0, 2**32, 4).tolist() == [1493682922, 1261446974, 4294105368,
+                                  1936669887]
+    assert stream_rng(123456789, "landscape", 3, 5).normal(size=2).tolist() \
+        == [-0.49985258453341536, -1.0742970678163724]
+    assert seed_sequence(42, "episode", 3).generate_state(4).tolist() == [
+        2873017895, 543599135, 2633153182, 1705930799]
+    assert derive_seed(42, "bench") == 428562869691680205
+    assert derive_seed(7, "bench", "L-n4", 1, "nm", 3) == 8348866121812021824
+    assert derive_seed(0, "norm", 2) == 2251543623465876587
