@@ -74,8 +74,10 @@ def _resolve(args, config, key, default):
     return config.get(key, default)
 
 
-def _parse_depths(text) -> tuple:
+def _parse_depths(args, config, default: str) -> tuple:
+    """The depths of --p, else of the config's `depths`, else `default`."""
     out = []
+    text = args.p if args.p is not None else config.get("depths", default)
     for tok in str(text).split(","):
         d = int(tok)
         if d not in VALID_DEPTHS:
@@ -149,8 +151,7 @@ def cmd_landscape(args, config) -> tuple:
 def cmd_build_sstar(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
     starts = _resolve(args, config, "starts", 1000)
-    depths = _parse_depths(args.p if args.p is not None
-                           else config.get("depths", "1,2,4"))
+    depths = _parse_depths(args, config, "1,2,4")
     suite_name = _resolve(args, config, "suite", "train")
     items = suite(suite_name)
     out = _out_dir(args)
@@ -202,9 +203,10 @@ def cmd_build_kde(args, config) -> tuple:
 
 def cmd_train_rl(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
-    p = int(_resolve(args, config, "p", 1))
-    if p not in VALID_DEPTHS:
-        raise ConfigError(f"p must be one of {VALID_DEPTHS}, got {p}")
+    depths = _parse_depths(args, config, "1")
+    if len(depths) != 1:
+        raise ConfigError(f"train-rl trains one depth, got {list(depths)}")
+    p = depths[0]
     cfg = PpoConfig(
         epochs=_resolve(args, config, "epochs", 50),
         episodes_per_epoch=_resolve(args, config, "episodes", 16),
@@ -230,8 +232,7 @@ def cmd_train_rl(args, config) -> tuple:
 
 def cmd_bench(args, config) -> tuple:
     seed = _resolve(args, config, "seed", 0)
-    depths = _parse_depths(args.p if args.p is not None
-                           else config.get("depths", "1,2,4"))
+    depths = _parse_depths(args, config, "1,2,4")
     roster = _parse_roster(_resolve(args, config, "roster",
                                     "random,nm,kde,rl"))
     shots = _shots_arg(args, config)
@@ -325,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epochs", type=int, default=None)
     sp.add_argument("--episodes", type=int, default=None)
     sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--probe", type=int, default=None)
+    sp.add_argument("--probe", type=int, default=None,
+                    help="normalizer evals per instance; used only at p > 1")
     common(sp)
 
     sp = sub.add_parser("bench", help="run the optimizer comparison")

@@ -106,7 +106,7 @@ def level_probs(g: Graph, probs: np.ndarray) -> np.ndarray:
 def energy(g: Graph, params: QaoaParams, shots: int | None = None,
            rng=None) -> EnergyValue:
     """Exact expected cut size, or the mean of `shots` measurements drawn
-    with `rng`.  Every energy in the package is computed here.
+    with `rng`.  Every statevector energy in the package is computed here.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels.
@@ -189,19 +189,24 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
                    seed: int = 0) -> LandscapeGrid:
     """Evaluate the p=1 energy on a resolution x resolution grid.
 
-    shots=None evaluates exactly; otherwise each grid point is sampled with
-    its own substream of `seed`.
+    shots=None evaluates `energy_p1` over the whole grid at once; otherwise
+    each grid point is sampled with its own substream of `seed`.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
     axis = np.linspace(-math.pi, math.pi, resolution)
-    mean = np.zeros((resolution, resolution))
     stderr = np.zeros((resolution, resolution))
-    for i, beta in enumerate(axis):
-        for j, gamma in enumerate(axis):
-            rng = None if shots is None else stream_rng(seed, "landscape", i, j)
-            ev = energy(g, QaoaParams([beta], [gamma]), shots, rng)
-            mean[i, j] = ev.mean
-            stderr[i, j] = ev.stderr
+    if shots is None:
+        # wrapped like QaoaParams wraps them, so -pi and pi agree exactly
+        angles = wrap_angles(axis)
+        mean = energy_p1(g, angles[:, None], angles)
+    else:
+        mean = np.zeros((resolution, resolution))
+        for i, beta in enumerate(axis):
+            for j, gamma in enumerate(axis):
+                ev = energy(g, QaoaParams([beta], [gamma]), shots,
+                            stream_rng(seed, "landscape", i, j))
+                mean[i, j] = ev.mean
+                stderr[i, j] = ev.stderr
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),
                          mean=mean, stderr=stderr)

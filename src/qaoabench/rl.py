@@ -9,7 +9,7 @@ the best point found with the other half.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,58 +33,52 @@ def state_dim(p: int) -> int:
     return (2 * p + 1) * HISTORY_LEN
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Rolling window of the last L moves, newest first.
+class Walk:
+    """E landscape walks in lockstep, one metered objective each.
 
-    Each history row is [df, dbeta_1..dbeta_p, dgamma_1..dgamma_p] with df
-    already divided by the instance normalizer; rows not yet filled are 0.
+    `history` (E, L, 2p + 1) holds each walk's last L moves, newest first:
+    rows [df, dbeta_1..dbeta_p, dgamma_1..dgamma_p], df divided by the
+    walk's normalizer, 0 until filled.  `states` is the same memory as
+    (E, state_dim) policy inputs.  Walk e starts at `start`, else at a
+    uniform point drawn from `seeds[e]`, for one metered eval.
     """
 
-    history: np.ndarray
-    current: QaoaParams
-    current_f: float
-    normalizer: float = 1.0
+    def __init__(self, objs, seeds, normalizers,
+                 start: QaoaParams | None = None):
+        self.objs = list(objs)
+        p = self.objs[0].depth
+        if start is None:
+            rngs = [stream_rng(derive_seed(seed, "reset"), "env-reset")
+                    for seed in seeds]
+            points = [QaoaParams.from_vector(
+                rng.uniform(-math.pi, math.pi, 2 * p)) for rng in rngs]
+        else:
+            points = [start] * len(self.objs)
+        self.current = np.array([x.vector() for x in points])
+        self.f = np.array([obj(x).mean for obj, x in zip(self.objs, points)])
+        self.normalizers = np.asarray(normalizers, dtype=np.float64)
+        self.states = np.zeros((len(self.objs), state_dim(p)))
+        self.history = self.states.reshape(len(self.objs), HISTORY_LEN, -1)
 
-    @property
-    def depth(self) -> int:
-        return self.current.p
-
-    def flatten(self) -> np.ndarray:
-        return self.history.reshape(-1).copy()
-
-
-def env_reset(obj: MeteredObjective, seed: int, normalizer: float = 1.0,
-              start: QaoaParams | None = None) -> EnvState:
-    """Start at a uniform random point (or `start`); costs one metered eval."""
-    if start is None:
-        rng = stream_rng(seed, "env-reset")
-        params = QaoaParams.from_vector(
-            rng.uniform(-math.pi, math.pi, 2 * obj.depth))
-    else:
-        params = start
-    f0 = obj(params).mean
-    history = np.zeros((HISTORY_LEN, 2 * obj.depth + 1))
-    return EnvState(history=history, current=params, current_f=f0,
-                    normalizer=normalizer)
-
-
-def env_step(state: EnvState, action, obj: MeteredObjective):
-    """Apply a bounded parameter step; returns (next state, reward)."""
-    step = np.asarray(action, dtype=np.float64).ravel()
-    if step.shape != (2 * state.depth,):
-        raise DomainError(
-            f"action has shape {step.shape}, expected ({2 * state.depth},)")
-    if np.any(np.abs(step) > ACTION_BOUND + 1e-12):
-        raise DomainError(f"action components must stay in "
-                          f"[-{ACTION_BOUND}, {ACTION_BOUND}]")
-    params = QaoaParams.from_vector(state.current.vector() + step)
-    f_next = obj(params).mean
-    reward = (f_next - state.current_f) / state.normalizer
-    record = np.concatenate([[reward], step])
-    history = np.vstack([record, state.history[:-1]])
-    return EnvState(history=history, current=params, current_f=f_next,
-                    normalizer=state.normalizer), float(reward)
+    def step(self, actions) -> np.ndarray:
+        """Move each walk by its row of `actions`, bounded parameter steps
+        of shape (E, 2p); returns the (E,) rewards."""
+        steps = np.asarray(actions, dtype=np.float64)
+        if steps.shape != self.current.shape:
+            raise DomainError(f"actions have shape {steps.shape}, "
+                              f"expected {self.current.shape}")
+        if np.any(np.abs(steps) > ACTION_BOUND + 1e-12):
+            raise DomainError(f"action components must stay in "
+                              f"[-{ACTION_BOUND}, {ACTION_BOUND}]")
+        points = [QaoaParams.from_vector(x) for x in self.current + steps]
+        f_next = np.array([obj(x).mean for obj, x in zip(self.objs, points)])
+        rewards = (f_next - self.f) / self.normalizers
+        self.current = np.array([x.vector() for x in points])
+        self.f = f_next
+        self.history[:, 1:] = self.history[:, :-1]
+        self.history[:, 0, 0] = rewards
+        self.history[:, 0, 1:] = steps
+        return rewards
 
 
 def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
@@ -128,9 +122,7 @@ class PolicyBundle:
                               f"{self.noise_variance}")
 
     def copy(self) -> "PolicyBundle":
-        return PolicyBundle(actor=self.actor.copy(), critic=self.critic.copy(),
-                            depth=self.depth,
-                            noise_variance=self.noise_variance)
+        return replace(self, actor=self.actor.copy(), critic=self.critic.copy())
 
 
 def init_policy(p: int, seed: int) -> PolicyBundle:
@@ -143,67 +135,70 @@ def init_policy(p: int, seed: int) -> PolicyBundle:
 
 
 def gaussian_logp(action, mean, variance: float):
-    """Log density of an isotropic Gaussian; supports (d,) or (B, d)."""
+    """Log density of an isotropic Gaussian over the last axis."""
     diff = np.asarray(action, float) - np.asarray(mean, float)
     d = diff.shape[-1]
     sq = np.sum(diff * diff, axis=-1)
     return -0.5 * (sq / variance + d * math.log(2.0 * math.pi * variance))
 
 
-def sample_action(bundle: PolicyBundle, x: np.ndarray,
-                  rng: np.random.Generator):
-    """Draw actor(x) + N(0, noise_variance I), clamp to the action box.
+def sample_action(bundle: PolicyBundle, x: np.ndarray, rngs):
+    """Draw actor(x) + N(0, noise_variance I) for the rows of `x`, row
+    e's noise from `rngs[e]`, clamped to the action box.
 
     The log-probability is the plain Gaussian density at the action that is
     actually kept, so recomputing it from a stored (state, action) pair
     under unchanged weights reproduces it exactly.
     """
     mean = bundle.actor(x)
-    action = mean + rng.normal(0.0, math.sqrt(bundle.noise_variance),
-                               size=mean.shape)
-    action = np.clip(action, -ACTION_BOUND, ACTION_BOUND)
-    return action, float(gaussian_logp(action, mean, bundle.noise_variance))
+    sd = math.sqrt(bundle.noise_variance)
+    noise = np.array([rng.normal(0.0, sd, size=mean.shape[1])
+                      for rng in rngs])
+    action = np.clip(mean + noise, -ACTION_BOUND, ACTION_BOUND)
+    return action, gaussian_logp(action, mean, bundle.noise_variance)
 
 
 @dataclass
 class Trajectory:
-    states: np.ndarray    # (T, state_dim)
-    actions: np.ndarray   # (T, 2p)
-    logps: np.ndarray     # (T,)
-    rewards: np.ndarray   # (T,)
-    values: np.ndarray    # (T,)
-    bootstrap: float      # critic value of the state after the last step
+    """E episodes of T steps each, episode axis first."""
 
-    def __len__(self) -> int:
-        return len(self.rewards)
+    states: np.ndarray    # (E, T, state_dim)
+    actions: np.ndarray   # (E, T, 2p)
+    logps: np.ndarray     # (E, T)
+    rewards: np.ndarray   # (E, T)
+    values: np.ndarray    # (E, T + 1), the last after the final step
 
-    def total_discounted(self, discount: float) -> float:
-        t = np.arange(len(self.rewards))
-        return float(np.sum(self.rewards * discount**t))
+    def total_discounted(self, discount: float) -> np.ndarray:
+        t = np.arange(self.rewards.shape[1])
+        return np.sum(self.rewards * discount**t, axis=1)
 
 
-def collect_episode(g: Graph, bundle: PolicyBundle, seed: int,
-                    normalizer: float, steps: int) -> Trajectory:
-    """Roll the stochastic policy for `steps` exact moves on one instance:
-    one actor and one critic forward per step, one bootstrap critic
-    forward at the end."""
+def collect_episode(graphs, bundle: PolicyBundle, seeds, normalizers,
+                    steps: int) -> Trajectory:
+    """Roll the stochastic policy for `steps` exact moves on each graph in
+    one walk, episode e with `seeds[e]`'s streams and `normalizers[e]`.
+    Each step makes one actor and one critic forward over all E states;
+    one more critic forward values the final states."""
     p = bundle.depth
-    obj = MeteredObjective.for_graph(g, depth=p, budget=steps + 1)
-    rng = stream_rng(seed, "episode")
-    state = env_reset(obj, derive_seed(seed, "reset"), normalizer)
-    states = np.zeros((steps, state_dim(p)))
-    actions = np.zeros((steps, 2 * p))
-    logps = np.zeros(steps)
-    rewards = np.zeros(steps)
-    values = np.zeros(steps)
+    objs = [MeteredObjective.for_graph(g, depth=p, budget=steps + 1)
+            for g in graphs]
+    rngs = [stream_rng(seed, "episode") for seed in seeds]
+    walk = Walk(objs, seeds, normalizers)
+    n_ep = len(objs)
+    states = np.zeros((n_ep, steps, state_dim(p)))
+    actions = np.zeros((n_ep, steps, 2 * p))
+    logps = np.zeros((n_ep, steps))
+    rewards = np.zeros((n_ep, steps))
+    values = np.zeros((n_ep, steps + 1))
     for t in range(steps):
-        states[t] = state.flatten()
-        actions[t], logps[t] = sample_action(bundle, states[t], rng)
-        values[t] = float(bundle.critic(states[t])[0])
-        state, rewards[t] = env_step(state, actions[t], obj)
-    bootstrap = float(bundle.critic(state.flatten())[0])
+        x = walk.states
+        states[:, t] = x
+        actions[:, t], logps[:, t] = sample_action(bundle, x, rngs)
+        values[:, t] = bundle.critic(x)[:, 0]
+        rewards[:, t] = walk.step(actions[:, t])
+    values[:, steps] = bundle.critic(walk.states)[:, 0]
     return Trajectory(states=states, actions=actions, logps=logps,
-                      rewards=rewards, values=values, bootstrap=bootstrap)
+                      rewards=rewards, values=values)
 
 
 @dataclass(frozen=True)
@@ -238,22 +233,24 @@ class PpoConfig:
 
 
 def gae_advantages(traj: Trajectory, discount: float, lam: float) -> np.ndarray:
-    v_next = np.append(traj.values[1:], traj.bootstrap)
-    deltas = traj.rewards + discount * v_next - traj.values
+    """(E, T) generalized advantage estimates, one pass back over T."""
+    deltas = (traj.rewards + discount * traj.values[:, 1:]
+              - traj.values[:, :-1])
     adv = np.zeros_like(deltas)
     acc = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + discount * lam * acc
-        adv[t] = acc
+    for t in range(deltas.shape[1] - 1, -1, -1):
+        acc = deltas[:, t] + discount * lam * acc
+        adv[:, t] = acc
     return adv
 
 
 def discounted_returns(traj: Trajectory, discount: float) -> np.ndarray:
+    """(E, T) discounted returns bootstrapped from the critic."""
     out = np.zeros_like(traj.rewards)
-    acc = traj.bootstrap
-    for t in range(len(out) - 1, -1, -1):
-        acc = traj.rewards[t] + discount * acc
-        out[t] = acc
+    acc = traj.values[:, -1]
+    for t in range(out.shape[1] - 1, -1, -1):
+        acc = traj.rewards[:, t] + discount * acc
+        out[:, t] = acc
     return out
 
 
@@ -291,7 +288,7 @@ def _mean_kl(old_means, new_means, variance: float) -> float:
     return float(np.mean(sq) / (2.0 * variance))
 
 
-def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
+def ppo_update(bundle: PolicyBundle, traj: Trajectory, cfg: PpoConfig):
     """One policy improvement step; returns (new bundle, diagnostics).
 
     The actor ascends the clipped surrogate for at most cfg.max_passes; the
@@ -303,15 +300,14 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
     one set of buffers per update (`Mlp.buffers`), so how fast they run
     does not hang on where the allocator puts fresh arrays.
     """
-    if not batch:
+    if not traj.rewards.size:
         raise DomainError("ppo_update needs a non-empty batch")
-    states = np.concatenate([t.states for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-    logp_old = np.concatenate([t.logps for t in batch])
-    adv = np.concatenate(
-        [gae_advantages(t, cfg.discount, cfg.gae_lambda) for t in batch])
-    returns = np.concatenate(
-        [discounted_returns(t, cfg.discount) for t in batch])
+    rows = traj.rewards.size
+    states = traj.states.reshape(rows, -1)
+    actions = traj.actions.reshape(rows, -1)
+    logp_old = traj.logps.reshape(rows)
+    adv = gae_advantages(traj, cfg.discount, cfg.gae_lambda).reshape(rows)
+    returns = discounted_returns(traj, cfg.discount).reshape(rows)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     new = bundle.copy()
@@ -351,8 +347,8 @@ def ppo_update(bundle: PolicyBundle, batch, cfg: PpoConfig):
 
 
 def train(train_suite, p: int, cfg: PpoConfig, seed: int):
-    """PPO over the (spec, graph) training items, round-robin one episode
-    at a time.
+    """PPO over the (spec, graph) training items; each epoch walks its
+    episodes in lockstep, assigned to the items round-robin.
 
     Returns (bundle, curve) where curve[k] is the mean total discounted
     reward of the episodes collected during epoch k (i.e. under the policy
@@ -366,18 +362,16 @@ def train(train_suite, p: int, cfg: PpoConfig, seed: int):
         reward_normalizer(g, p, cfg.probe_count, derive_seed(seed, "norm", i))
         for i, g in enumerate(graphs)]
     curve = np.zeros(cfg.epochs)
-    episode_index = 0
     for epoch in range(cfg.epochs):
-        batch = []
-        for _ in range(cfg.episodes_per_epoch):
-            gi = episode_index % len(graphs)
-            batch.append(collect_episode(
-                graphs[gi], bundle, derive_seed(seed, "ep", episode_index),
-                normalizers[gi], cfg.episode_len))
-            episode_index += 1
-        curve[epoch] = float(np.mean(
-            [t.total_discounted(cfg.discount) for t in batch]))
-        bundle, _ = ppo_update(bundle, batch, cfg)
+        episodes = range(epoch * cfg.episodes_per_epoch,
+                         (epoch + 1) * cfg.episodes_per_epoch)
+        items = [i % len(graphs) for i in episodes]
+        traj = collect_episode(
+            [graphs[i] for i in items], bundle,
+            [derive_seed(seed, "ep", i) for i in episodes],
+            [normalizers[i] for i in items], cfg.episode_len)
+        curve[epoch] = float(np.mean(traj.total_discounted(cfg.discount)))
+        bundle, _ = ppo_update(bundle, traj, cfg)
     return bundle, curve
 
 
@@ -399,12 +393,10 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
                                        seed=derive_seed(seed, "norm"))
     trace_base = len(obj.trace)
     half = budget // 2
-    state = env_reset(obj, derive_seed(seed, "reset"), normalizer,
-                      start=start)
+    walk = Walk([obj], [seed], [normalizer], start)
     for _ in range(half - 1):
-        mean = bundle.actor(state.flatten())
-        state, _ = env_step(state, np.clip(mean, -ACTION_BOUND, ACTION_BOUND),
-                            obj)
+        walk.step(np.clip(bundle.actor(walk.states), -ACTION_BOUND,
+                          ACTION_BOUND))
     phase1 = result_from_trace(obj.trace[trace_base:])
     simplex_search(obj, phase1.best_params)
     return obj.result(since=trace_base)

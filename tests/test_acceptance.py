@@ -202,16 +202,15 @@ def test_criterion_06_ppo_machinery(criterion):
     # the improvement loop never continues from an over-threshold policy
     bundle = init_policy(1, seed=5)
     k2 = Graph(2, ((0, 1),))
-    batch = [collect_episode(k2, bundle, seed=16 + i, normalizer=0.5, steps=16)
-             for i in range(4)]
+    traj = collect_episode([k2] * 4, bundle, [16, 17, 18, 19], [0.5] * 4,
+                           steps=16)
     cfg = PpoConfig(actor_lr=2e-3, max_passes=80, epochs=1,
                     episodes_per_epoch=1)
-    _, diag = ppo_update(bundle, batch, cfg)
-    states = np.concatenate([t.states for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-    logp_old = np.concatenate([t.logps for t in batch])
-    adv = np.concatenate([gae_advantages(t, cfg.discount, cfg.gae_lambda)
-                          for t in batch])
+    _, diag = ppo_update(bundle, traj, cfg)
+    states = traj.states.reshape(64, -1)
+    actions = traj.actions.reshape(64, -1)
+    logp_old = traj.logps.reshape(64)
+    adv = gae_advantages(traj, cfg.discount, cfg.gae_lambda).reshape(64)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     replica = bundle.copy()
     old_means = bundle.actor(states)

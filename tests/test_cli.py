@@ -396,6 +396,24 @@ def test_config_depths_honored(tmp_path):
     assert not (out / "sstar-p4.json").exists()
 
 
+def test_config_depths_sets_the_train_rl_depth(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "depths = 2\nepochs = 1\nepisodes = 2\n"
+                                    "steps = 4\nprobe = 5\n")
+    out = tmp_path / "rl"
+    assert main(["train-rl", "--config", cfg, "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert load_policy(out / "policy-p2.json").depth == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["p"] == 2
+    # the flag still overrides the file, and one run trains one depth
+    assert main(["train-rl", "--config", cfg, "--p", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "policy-p1.json").exists()
+    several = write(tmp_path / "d.cfg", "depths = 1,2\n")
+    assert main(["train-rl", "--config", several, "--out", str(out)]) == 1
+    assert "one depth" in capsys.readouterr().err
+
+
 def test_bench_keeps_records_when_metrics_fail(tmp_path, capsys, monkeypatch):
     def broken(records, cut_values):
         raise DomainError("metrics failed")

@@ -310,6 +310,19 @@ def test_landscape_k2_peak_near_one():
     assert grid.mean.max() >= 0.99
 
 
+@pytest.mark.parametrize("g", [gen_ladder(3), gen_caveman(2, 4),
+                               gen_erdos_renyi(7, 0.6, 2)],
+                         ids=["ladder", "caveman", "random"])
+def test_exact_landscape_is_the_statevector_pointwise(g):
+    # the exact grid comes from the closed form in one broadcast call
+    grid = landscape_grid(g, 9)
+    for i, beta in enumerate(grid.betas):
+        for j, gamma in enumerate(grid.gammas):
+            want = energy(g, QaoaParams([beta], [gamma])).mean
+            assert abs(grid.mean[i, j] - want) < 1e-10
+    assert np.all(grid.stderr == 0.0)
+
+
 def test_landscape_sampled_mode():
     g = gen_ladder(2)
     a = landscape_grid(g, 3, shots=128, seed=5)

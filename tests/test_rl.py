@@ -1,4 +1,4 @@
-"""Learned-optimizer stack: environment, policy, PPO, test-time search."""
+"""Learned-optimizer stack: landscape walk, policy, PPO, test-time search."""
 
 import json
 import math
@@ -19,12 +19,11 @@ from qaoabench.rl import (
     PolicyBundle,
     PpoConfig,
     Trajectory,
+    Walk,
     _actor_loss_grads,
     _mean_kl,
     collect_episode,
     discounted_returns,
-    env_reset,
-    env_step,
     gae_advantages,
     gaussian_logp,
     init_policy,
@@ -73,21 +72,20 @@ def bandit_tail_mean(seed, updates=200, n_ep=24, steps=8, tail=50):
     dim = state_dim(1)
     tail_means = []
     for u in range(updates):
-        batch = []
-        for _ in range(n_ep):
-            sts = np.zeros((steps, dim))
-            acts = np.zeros((steps, 2))
-            lps = np.zeros(steps)
-            rws = np.zeros(steps)
-            vals = np.zeros(steps)
+        sts = np.zeros((n_ep, steps, dim))
+        acts = np.zeros((n_ep, steps, 2))
+        lps = np.zeros((n_ep, steps))
+        rws = np.zeros((n_ep, steps))
+        vals = np.zeros((n_ep, steps + 1))
+        for e in range(n_ep):
             for t in range(steps):
-                a, lp = sample_action(bundle, sts[t], rng)
-                acts[t], lps[t] = a, lp
-                rws[t] = -float(np.sum((a - target) ** 2))
-                vals[t] = float(bundle.critic(sts[t])[0])
-            batch.append(Trajectory(sts, acts, lps, rws, vals,
-                                    bootstrap=float(bundle.critic(sts[0])[0])))
-        bundle, _ = ppo_update(bundle, batch, cfg)
+                a, lp = sample_action(bundle, sts[e, t][None], [rng])
+                acts[e, t], lps[e, t] = a[0], lp[0]
+                rws[e, t] = -float(np.sum((a[0] - target) ** 2))
+                vals[e, t] = float(bundle.critic(sts[e, t])[0])
+            vals[e, steps] = float(bundle.critic(sts[e, 0])[0])
+        bundle, _ = ppo_update(bundle, Trajectory(sts, acts, lps, rws, vals),
+                               cfg)
         if u >= updates - tail:
             tail_means.append(bundle.actor(np.zeros(dim)))
     return np.mean(tail_means, axis=0)
@@ -100,72 +98,80 @@ def test_state_dim():
     assert state_dim(4) == 36
 
 
+def one_walk(obj, seed=0, normalizer=1.0, start=None):
+    """The landscape environment: a one-row Walk."""
+    return Walk([obj], [seed], [normalizer], start)
+
+
 def test_env_reset_shape_and_cost():
     obj = k2_objective(budget=5)
-    state = env_reset(obj, seed=0)
+    walk = one_walk(obj)
     assert obj.calls == 1
-    assert state.history.shape == (HISTORY_LEN, 3)
-    assert np.all(state.history == 0.0)
-    assert state.flatten().shape == (12,)
-    assert state.current_f == energy(K2, state.current).mean
+    assert walk.history.shape == (1, HISTORY_LEN, 3)
+    assert np.all(walk.history == 0.0)
+    assert walk.states.shape == (1, 12)
+    assert walk.f[0] == energy(K2, obj.trace[0][0]).mean
 
 
 def test_env_reset_deterministic_and_start_override():
-    a = env_reset(k2_objective(), seed=4)
-    b = env_reset(k2_objective(), seed=4)
-    np.testing.assert_array_equal(a.current.vector(), b.current.vector())
+    a = one_walk(k2_objective(), seed=4)
+    b = one_walk(k2_objective(), seed=4)
+    np.testing.assert_array_equal(a.current, b.current)
     fixed = QaoaParams([0.3], [0.9])
-    c = env_reset(k2_objective(), seed=4, start=fixed)
-    assert c.current is fixed
+    obj = k2_objective()
+    c = one_walk(obj, seed=4, start=fixed)
+    assert obj.trace[0][0] is fixed
+    np.testing.assert_array_equal(c.current[0], fixed.vector())
 
 
 def test_env_step_zero_action_zero_reward():
-    obj = k2_objective()
-    state = env_reset(obj, seed=1)
-    nxt, reward = env_step(state, np.zeros(2), obj)
-    assert reward == 0.0
-    assert nxt.current_f == state.current_f
-    np.testing.assert_array_equal(nxt.history[0], [0.0, 0.0, 0.0])
+    walk = one_walk(k2_objective(), seed=1)
+    f0 = walk.f.copy()
+    rewards = walk.step(np.zeros((1, 2)))
+    assert rewards.tolist() == [0.0]
+    np.testing.assert_array_equal(walk.f, f0)
+    np.testing.assert_array_equal(walk.history[0, 0], [0.0, 0.0, 0.0])
 
 
 def test_env_step_validates_action():
-    obj = k2_objective()
-    state = env_reset(obj, seed=1)
-    with pytest.raises(DomainError):
-        env_step(state, np.zeros(4), obj)
-    with pytest.raises(DomainError):
-        env_step(state, np.array([0.11, 0.0]), obj)
+    walk = one_walk(k2_objective(), seed=1)
+    for bad in (np.zeros((1, 4)), np.zeros(2), np.zeros((2, 2)),
+                np.array([[0.11, 0.0]])):
+        with pytest.raises(DomainError):
+            walk.step(bad)
+    assert walk.objs[0].calls == 1   # a rejected action costs nothing
 
 
 def test_env_step_history_newest_first():
     obj = k2_objective()
-    state = env_reset(obj, seed=2, normalizer=2.0)
-    s1, r1 = env_step(state, np.array([0.05, 0.0]), obj)
-    s2, r2 = env_step(s1, np.array([0.0, -0.08]), obj)
-    np.testing.assert_allclose(s2.history[0], [r2, 0.0, -0.08])
-    np.testing.assert_allclose(s2.history[1], [r1, 0.05, 0.0])
-    assert np.all(s2.history[2:] == 0.0)
+    walk = one_walk(obj, seed=2, normalizer=2.0)
+    f0 = walk.f[0]
+    (r1,) = walk.step(np.array([[0.05, 0.0]]))
+    f1 = walk.f[0]
+    (r2,) = walk.step(np.array([[0.0, -0.08]]))
+    np.testing.assert_allclose(walk.history[0, 0], [r2, 0.0, -0.08])
+    np.testing.assert_allclose(walk.history[0, 1], [r1, 0.05, 0.0])
+    assert np.all(walk.history[0, 2:] == 0.0)
+    # the states are the history, flattened newest first
+    np.testing.assert_array_equal(walk.states[0], walk.history[0].ravel())
     # normalizer divides the reward entry
-    assert r1 == (s1.current_f - state.current_f) / 2.0
+    assert r1 == (f1 - f0) / 2.0
 
 
 def test_env_step_budget_propagates():
-    obj = k2_objective(budget=1)
-    state = env_reset(obj, seed=0)
+    walk = one_walk(k2_objective(budget=1))
     with pytest.raises(BudgetExhaustedError):
-        env_step(state, np.zeros(2), obj)
+        walk.step(np.zeros((1, 2)))
 
 
 def test_env_rewards_telescope():
     obj = k2_objective(budget=30)
     norm = 3.7
-    state = env_reset(obj, seed=5, normalizer=norm)
+    walk = one_walk(obj, seed=5, normalizer=norm)
     rng = np.random.default_rng(6)
     total = 0.0
     for _ in range(20):
-        state, reward = env_step(
-            state, rng.uniform(-ACTION_BOUND, ACTION_BOUND, 2), obj)
-        total += reward
+        total += walk.step(rng.uniform(-ACTION_BOUND, ACTION_BOUND, (1, 2)))[0]
     f0 = obj.trace[0][1].mean
     f_end = obj.trace[-1][1].mean
     assert abs(total * norm - (f_end - f0)) < 1e-9
@@ -173,19 +179,15 @@ def test_env_rewards_telescope():
 
 def test_env_climbs_when_pointed_uphill():
     # K2 peak is at (pi/8, pi/2); a step toward it from below must pay off
-    obj = k2_objective()
-    state = env_reset(obj, seed=0, start=QaoaParams([0.15], [1.2]))
-    _, reward = env_step(state, np.array([0.1, 0.1]), obj)
-    assert reward > 0.0
+    walk = one_walk(k2_objective(), start=QaoaParams([0.15], [1.2]))
+    assert walk.step(np.array([[0.1, 0.1]]))[0] > 0.0
 
 
 def test_empty_graph_rewards_are_zero():
     g = Graph(3, ())
-    obj = MeteredObjective.for_graph(g, depth=1, budget=10)
-    state = env_reset(obj, seed=1)
+    walk = one_walk(MeteredObjective.for_graph(g, depth=1, budget=10), seed=1)
     for _ in range(3):
-        state, reward = env_step(state, np.array([0.1, -0.1]), obj)
-        assert reward == 0.0
+        assert walk.step(np.array([[0.1, -0.1]]))[0] == 0.0
 
 
 # --- reward normalizer -----------------------------------------------------
@@ -265,7 +267,7 @@ def test_sample_action_bounds_and_std():
     bundle = init_policy(1, seed=1)
     rng = np.random.default_rng(2)
     zeros = np.zeros(state_dim(1))  # actor(0) = 0 exactly (zero biases)
-    draws = np.array([sample_action(bundle, zeros, rng)[0]
+    draws = np.array([sample_action(bundle, zeros[None], [rng])[0][0]
                       for _ in range(20000)])
     assert np.all(np.abs(draws) <= ACTION_BOUND)
     # clamping at ~2 sigma trims the std by ~4%
@@ -276,59 +278,93 @@ def test_sample_action_bounds_and_std():
 def test_sample_action_logp_is_density_at_kept_action():
     bundle = init_policy(1, seed=3)
     x = np.random.default_rng(4).normal(size=state_dim(1))
-    action, logp = sample_action(bundle, x, np.random.default_rng(5))
-    assert logp == pytest.approx(
-        float(gaussian_logp(action, bundle.actor(x), NOISE_VARIANCE)),
+    action, logp = sample_action(bundle, x[None], [np.random.default_rng(5)])
+    assert logp.shape == (1,)
+    assert logp[0] == pytest.approx(
+        float(gaussian_logp(action[0], bundle.actor(x), NOISE_VARIANCE)),
         abs=1e-15)
 
 
 # --- trajectories and PPO --------------------------------------------------
 
+def episode(g, bundle, seed, normalizer=0.5, steps=10):
+    """One episode, as a one-row lockstep walk."""
+    return collect_episode([g], bundle, [seed], [normalizer], steps)
+
+
+def episodes(bundle, seed0, count, steps=16):
+    """`count` K2 episodes in one walk, seeds seed0, seed0 + 1, ..."""
+    return collect_episode([K2] * count, bundle,
+                           list(range(seed0, seed0 + count)),
+                           [0.5] * count, steps)
+
+
 def test_collect_episode_shapes_and_determinism():
     bundle = init_policy(1, seed=0)
-    a = collect_episode(K2, bundle, seed=11, normalizer=0.5, steps=10)
-    b = collect_episode(K2, bundle, seed=11, normalizer=0.5, steps=10)
-    assert len(a) == 10
-    assert a.states.shape == (10, 12)
+    a = episode(K2, bundle, seed=11)
+    b = episode(K2, bundle, seed=11)
+    assert a.states.shape == (1, 10, 12)
+    assert a.actions.shape == (1, 10, 2)
+    assert a.rewards.shape == a.logps.shape == (1, 10)
+    assert a.values.shape == (1, 11)   # + the value after the last step
     np.testing.assert_array_equal(a.rewards, b.rewards)
     np.testing.assert_array_equal(a.actions, b.actions)
-    c = collect_episode(K2, bundle, seed=12, normalizer=0.5, steps=10)
+    c = episode(K2, bundle, seed=12)
     assert not np.array_equal(a.actions, c.actions)
+
+
+def test_lockstep_episodes_match_one_graph_walks():
+    bundle = init_policy(1, seed=4)
+    graphs = [gen_ladder(3), gen_caveman(2, 4), gen_erdos_renyi(7, 0.6, 2)]
+    seeds, norms = [41, 42, 43], [1.5, 4.0, 0.7]
+    both = collect_episode(graphs, bundle, seeds, norms, steps=12)
+    for e, g in enumerate(graphs):
+        one = episode(g, bundle, seeds[e], norms[e], steps=12)
+        for name in ("states", "actions", "rewards", "logps", "values"):
+            np.testing.assert_allclose(getattr(both, name)[e],
+                                       getattr(one, name)[0],
+                                       rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_collect_episode_ratio_identity():
     bundle = init_policy(1, seed=1)
-    traj = collect_episode(K2, bundle, seed=13, normalizer=0.5, steps=16)
-    fresh = gaussian_logp(traj.actions, bundle.actor(traj.states),
-                          NOISE_VARIANCE)
+    traj = episodes(bundle, 13, 3)
+    fresh = gaussian_logp(traj.actions, bundle.actor(
+        traj.states.reshape(-1, 12)).reshape(3, 16, 2), NOISE_VARIANCE)
     ratio = np.exp(fresh - traj.logps)
     np.testing.assert_allclose(ratio, 1.0, rtol=0, atol=1e-12)
 
 
 def test_total_discounted():
-    traj = Trajectory(states=np.zeros((3, 1)), actions=np.zeros((3, 1)),
-                      logps=np.zeros(3), rewards=np.array([1.0, 2.0, 4.0]),
-                      values=np.zeros(3), bootstrap=0.0)
-    assert traj.total_discounted(0.5) == pytest.approx(1 + 1.0 + 1.0)
+    traj = Trajectory(states=np.zeros((2, 3, 1)), actions=np.zeros((2, 3, 1)),
+                      logps=np.zeros((2, 3)),
+                      rewards=np.array([[1.0, 2.0, 4.0], [0.0, 0.0, 8.0]]),
+                      values=np.zeros((2, 4)))
+    np.testing.assert_allclose(traj.total_discounted(0.5), [3.0, 2.0])
 
 
 def test_gae_and_returns_hand_example():
-    traj = Trajectory(states=np.zeros((2, 1)), actions=np.zeros((2, 1)),
-                      logps=np.zeros(2), rewards=np.array([1.0, 2.0]),
-                      values=np.array([0.5, 0.25]), bootstrap=0.125)
+    # the same episode twice, and once with every reward doubled
+    traj = Trajectory(states=np.zeros((2, 2, 1)), actions=np.zeros((2, 2, 1)),
+                      logps=np.zeros((2, 2)),
+                      rewards=np.array([[1.0, 2.0], [2.0, 4.0]]),
+                      values=np.array([[0.5, 0.25, 0.125],
+                                       [0.5, 0.25, 0.125]]))
     adv = gae_advantages(traj, discount=0.5, lam=0.5)
-    np.testing.assert_allclose(adv, [1.078125, 1.8125])
+    np.testing.assert_allclose(adv[0], [1.078125, 1.8125])
+    np.testing.assert_allclose(adv[1], [2.578125, 3.8125])
     ret = discounted_returns(traj, discount=0.5)
-    np.testing.assert_allclose(ret, [2.03125, 2.0625])
+    np.testing.assert_allclose(ret[0], [2.03125, 2.0625])
+    np.testing.assert_allclose(ret[1], [4.03125, 4.0625])
 
 
 def test_actor_first_pass_ratio_is_one():
     bundle = init_policy(1, seed=2)
-    traj = collect_episode(K2, bundle, seed=14, normalizer=0.5, steps=8)
+    traj = episode(K2, bundle, seed=14, steps=8)
     adv = np.linspace(-1, 1, 8)
-    means, cache = bundle.actor.forward(traj.states)
+    means, cache = bundle.actor.forward(traj.states[0])
     loss, grads, clip_fraction = _actor_loss_grads(
-        bundle.actor, means, cache, traj.actions, traj.logps, adv,
+        bundle.actor, means, cache, traj.actions[0], traj.logps[0], adv,
         clip=0.2, variance=NOISE_VARIANCE)
     assert clip_fraction == 0.0
     # with ratio == 1 the surrogate is just -mean(adv)
@@ -338,15 +374,15 @@ def test_actor_first_pass_ratio_is_one():
 def test_ppo_zero_advantage_leaves_actor_unchanged():
     bundle = init_policy(1, seed=3)
     steps, dim = 6, state_dim(1)
-    traj = Trajectory(states=np.zeros((steps, dim)),
-                      actions=np.full((steps, 2), 0.01),
-                      logps=np.full(steps, float(gaussian_logp(
+    traj = Trajectory(states=np.zeros((1, steps, dim)),
+                      actions=np.full((1, steps, 2), 0.01),
+                      logps=np.full((1, steps), float(gaussian_logp(
                           np.full(2, 0.01), bundle.actor(np.zeros(dim)),
                           NOISE_VARIANCE))),
-                      rewards=np.zeros(steps), values=np.zeros(steps),
-                      bootstrap=0.0)
+                      rewards=np.zeros((1, steps)),
+                      values=np.zeros((1, steps + 1)))
     cfg = PpoConfig(epochs=1, episodes_per_epoch=1, max_passes=5)
-    new, diag = ppo_update(bundle, [traj], cfg)
+    new, diag = ppo_update(bundle, traj, cfg)
     for w_old, w_new in zip(bundle.actor.parameters(), new.actor.parameters()):
         np.testing.assert_array_equal(w_old, w_new)
     assert diag["actor_passes"] == 5  # ran, but with zero gradients
@@ -355,25 +391,26 @@ def test_ppo_zero_advantage_leaves_actor_unchanged():
 def test_ppo_update_rejects_bad_input():
     bundle = init_policy(1, seed=4)
     cfg = PpoConfig(epochs=1, episodes_per_epoch=1)
+    empty = Trajectory(states=np.zeros((0, 4, 12)),
+                       actions=np.zeros((0, 4, 2)), logps=np.zeros((0, 4)),
+                       rewards=np.zeros((0, 4)), values=np.zeros((0, 5)))
     with pytest.raises(DomainError):
-        ppo_update(bundle, [], cfg)
+        ppo_update(bundle, empty, cfg)
 
 
 def test_ppo_kl_checked_before_every_pass():
     # replicate the actor loop and confirm the update never continues from
     # an over-threshold policy, then match ppo_update's result exactly
     bundle = init_policy(1, seed=5)
-    batch = [collect_episode(K2, bundle, seed=16 + i, normalizer=0.5, steps=16)
-             for i in range(4)]
+    traj = episodes(bundle, 16, 4)
     cfg = PpoConfig(actor_lr=0.05, critic_lr=1e-3, max_passes=15,
                     epochs=1, episodes_per_epoch=1)
-    new, diag = ppo_update(bundle, batch, cfg)
+    new, diag = ppo_update(bundle, traj, cfg)
 
-    states = np.concatenate([t.states for t in batch])
-    actions = np.concatenate([t.actions for t in batch])
-    logp_old = np.concatenate([t.logps for t in batch])
-    adv = np.concatenate([gae_advantages(t, cfg.discount, cfg.gae_lambda)
-                          for t in batch])
+    states = traj.states.reshape(64, -1)
+    actions = traj.actions.reshape(64, -1)
+    logp_old = traj.logps.reshape(64)
+    adv = gae_advantages(traj, cfg.discount, cfg.gae_lambda).reshape(64)
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     replica = bundle.copy()
     old_means = bundle.actor(states)
@@ -400,14 +437,12 @@ def test_ppo_kl_checked_before_every_pass():
 
 def test_ppo_improves_critic_fit():
     bundle = init_policy(1, seed=6)
-    batch = [collect_episode(K2, bundle, seed=30 + i, normalizer=0.5, steps=16)
-             for i in range(4)]
+    traj = episodes(bundle, 30, 4)
     cfg = PpoConfig(epochs=1, episodes_per_epoch=1, max_passes=40)
-    states = np.concatenate([t.states for t in batch])
-    returns = np.concatenate([discounted_returns(t, cfg.discount)
-                              for t in batch])
+    states = traj.states.reshape(64, -1)
+    returns = discounted_returns(traj, cfg.discount).reshape(64)
     before = float(np.mean((bundle.critic(states)[:, 0] - returns) ** 2))
-    new, diag = ppo_update(bundle, batch, cfg)
+    new, diag = ppo_update(bundle, traj, cfg)
     after = float(np.mean((new.critic(states)[:, 0] - returns) ** 2))
     assert after < before
     assert 0.0 <= diag["critic_loss"] < before  # loss at the last pass
@@ -460,7 +495,7 @@ def count_forwards(monkeypatch):
 def test_rollout_runs_one_forward_per_net_and_step(monkeypatch):
     bundle = init_policy(1, seed=7)
     calls = count_forwards(monkeypatch)
-    collect_episode(K2, bundle, seed=3, normalizer=0.5, steps=10)
+    episodes(bundle, 3, 5, steps=10)   # five episodes in lockstep
     assert calls == {"actor": 10, "critic": 11}   # + 1 bootstrap value
     calls.update(actor=0, critic=0)
     rl_optimize(k2_objective(budget=40), bundle, seed=23)
@@ -472,12 +507,11 @@ def test_rollout_runs_one_forward_per_net_and_step(monkeypatch):
 def test_ppo_update_runs_one_actor_forward_per_pass(monkeypatch, actor_lr,
                                                     max_passes, stops_on_kl):
     bundle = init_policy(1, seed=5)
-    batch = [collect_episode(K2, bundle, seed=16 + i, normalizer=0.5, steps=16)
-             for i in range(4)]
+    traj = episodes(bundle, 16, 4)
     cfg = PpoConfig(actor_lr=actor_lr, max_passes=max_passes, epochs=1,
                     episodes_per_epoch=1)
     calls = count_forwards(monkeypatch)
-    _, diag = ppo_update(bundle, batch, cfg)
+    _, diag = ppo_update(bundle, traj, cfg)
     assert (diag["actor_passes"] < max_passes) == stops_on_kl
     assert (diag["kl"] > cfg.kl_stop) == stops_on_kl
     # one forward before the first pass, one after each
@@ -542,6 +576,19 @@ def test_rl_optimize_deterministic_and_start():
     res = rl_optimize(obj, bundle, seed=24, start=start)
     np.testing.assert_array_equal(obj.trace[0][0].vector(), start.vector())
     assert res.evals_used <= 24
+
+
+@pytest.mark.parametrize("g,p,shots,want", [
+    (gen_ladder(3), 1, 256, (4.09375, 4.023221736098776, 40)),
+    (gen_caveman(2, 4), 2, 128, (8.234375, 8.009225727526374, 40)),
+], ids=["ladder-p1", "caveman-p2"])
+def test_rl_optimize_reproduces_pinned_cells(g, p, shots, want):
+    # literals from the one-episode rollout; a one-row walk runs the same
+    # arithmetic, so they hold bit for bit
+    obj = MeteredObjective.for_graph(g, depth=p, budget=40, shots=shots,
+                                     seed=5)
+    res = rl_optimize(obj, init_policy(p, seed=7), seed=23)
+    assert (res.best_value, res.best_exact, res.evals_used) == want
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,9 +1,10 @@
 """Digest of every artifact of a desk-scale pipeline run.
 
-Runs gen, build-sstar, build-kde, train-rl, landscape, a sampled bench, an
-exact bench and a report of the sampled bench's records through
-`qaoabench.cli.main` into a temporary directory, then
-prints one sha256 per artifact and a combined digest over all of them.
+Runs gen, build-sstar, build-kde, train-rl at p = 1 and p = 2, a sampled
+and an exact landscape, a sampled bench, an exact bench and a report of
+the sampled bench's records through `qaoabench.cli.main` into a
+temporary directory, then prints one sha256 per artifact and a combined
+digest over all of them.
 `manifest.json` files are left out: they name their input paths, which
 differ between checkouts.  A refactor that is meant to change no result
 must print the same combined digest before and after.  The last line,
@@ -39,8 +40,13 @@ def pipeline(root: Path):
          "--sstar", str(sstar / "sstar-p2.json"), "--out", str(models)],
         ["train-rl", "--p", "1", "--epochs", "2", "--episodes", "4",
          "--steps", "16", "--probe", "20", "--out", str(policy)],
+        # p > 1 walks and the Monte Carlo reward normalizer
+        ["train-rl", "--p", "2", "--epochs", "2", "--episodes", "4",
+         "--steps", "16", "--probe", "20", "--out", str(root / "policy-p2")],
         ["landscape", "--instance", "L-n3", "--resolution", "16",
          "--out", str(root / "landscape")],
+        ["landscape", "--exact", "--instance", "L-n3", "--resolution", "16",
+         "--out", str(root / "landscape-exact")],
         ["bench", "--p", "1", *bench_size,
          "--kde", str(models / "kde-p1.json"),
          "--policy", str(policy / "policy-p1.json"),
