@@ -322,6 +322,8 @@ def read_records(path) -> list:
 
 
 def records_cut_values(records) -> dict:
-    """Recompute brute-force cuts for the instances named in records."""
-    specs = [spec_from_id(iid) for iid in sorted({r.instance for r in records})]
-    return suite_cut_values([(spec, realize(spec)) for spec in specs])
+    """Recompute brute-force cuts for the instances named in records.  The
+    graphs are built one at a time, so each diagonal is freed before the
+    next is built."""
+    specs = (spec_from_id(iid) for iid in sorted({r.instance for r in records}))
+    return suite_cut_values((spec, realize(spec)) for spec in specs)

@@ -16,7 +16,7 @@ from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
 from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
-from .engine import energy, landscape_grid
+from .engine import energy, energy_p1, landscape_grid
 from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
@@ -162,7 +162,13 @@ def cmd_build_sstar(args, config) -> tuple:
             iid = instance_id(spec)
             admitted = multistart_collect(
                 g, p, starts, derive_seed(seed, "sstar", iid, p))
-            best = max(energy(g, q).mean for q in admitted)
+            if p == 1:
+                # the closed form scores every admitted point at once
+                best = float(max(energy_p1(
+                    g, [q.betas[0] for q in admitted],
+                    [q.gammas[0] for q in admitted])))
+            else:
+                best = max(energy(g, q).mean for q in admitted)
             entries.append({"instance_id": iid, "p": p,
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})

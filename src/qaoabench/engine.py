@@ -5,14 +5,19 @@ the optimal assignment sits in the highest-energy amplitude.  One layer
 applies the diagonal phase exp(-i*gamma*C(z)) followed by the product of
 single-qubit rotations cos(beta)*I - i*sin(beta)*X on every qubit.
 
-State layout is little-endian (qubit q = bit q of the index).  Angles wrap
+State layout is little-endian (qubit q = bit q of the index).  The state
+is the half state of `kernels`, the 2^(n-1) amplitudes with bit n - 1
+clear, normalised to 1; bit-flip symmetry fixes the rest (the full state
+is the half and its reversal, over sqrt(2)).  Energies and cut-level laws
+are sums over the half with no factor 2.  Angles wrap
 into [-pi, pi] on construction; the spectrum is integer-valued, so wrapping
-never changes an energy.  The cut diagonal belongs to the graph
+never changes an energy.  The half cut diagonal belongs to the graph
 (`Graph.cuts`), so each instance builds it once however often it is
-evaluated.  The mixer applies its rotations in fused 4-qubit blocks
-(`kernels.apply_mixer`), and a sampled energy draws its shots over the
-m + 1 cut levels rather than the 2^n basis states: the same law, but not
-the same draws as a per-bitstring multinomial.
+evaluated.  The mixer applies its rotations in fused 4-qubit blocks, the
+top qubit folded into the last (`kernels.apply_mixer`), and a sampled
+energy draws its shots over the m + 1 cut levels rather than the basis
+states: the same law, but not the same draws as a per-bitstring
+multinomial.
 """
 
 import math
@@ -81,7 +86,8 @@ class EnergyValue:
 
 
 def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
-    """Apply all p layers to the uniform state; returns fresh amplitudes.
+    """Apply all p layers to the uniform state; returns fresh amplitudes of
+    the half state (2^(n-1) entries, normalised to 1).
 
     Reads the graph's cached cut diagonal.  Kernels are looked up on the
     `kernels` module at call time, never bound to a local name.
@@ -97,10 +103,24 @@ def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
     return amps
 
 
-def level_probs(g: Graph, probs: np.ndarray) -> np.ndarray:
-    """Probability of each cut level 0..m, from the basis-state
-    probabilities `probs`: the law of one measurement's cut size."""
-    return np.bincount(g.cuts, weights=probs, minlength=g.num_edges + 1)
+def _pieces(g: Graph, amps: np.ndarray):
+    """(probabilities, cut sizes) of the half state `amps`, a slice of
+    `kernels.SLICE` amplitudes at a time, so no temporary outgrows the
+    cache."""
+    cuts = g.cuts
+    step = kernels.SLICE
+    for lo in range(0, amps.size, step):
+        a = amps[lo:lo + step]
+        yield a.real**2 + a.imag**2, cuts[lo:lo + step]
+
+
+def level_probs(g: Graph, amps: np.ndarray) -> np.ndarray:
+    """Probability of each cut level 0..m in the half state `amps`: the
+    law of one measurement's cut size."""
+    law = np.zeros(g.num_edges + 1)
+    for probs, cuts in _pieces(g, amps):
+        law += np.bincount(cuts, weights=probs, minlength=law.size)
+    return law
 
 
 def energy(g: Graph, params: QaoaParams, shots: int | None = None,
@@ -112,13 +132,15 @@ def energy(g: Graph, params: QaoaParams, shots: int | None = None,
     shots are one multinomial draw over the m + 1 cut levels.
     """
     amps = evolve(g, params)
-    probs = amps.real**2 + amps.imag**2
     if shots is None:
-        # np.sum reduces pairwise, which keeps the error well under 1e-10
-        # even for 2^20 terms; np.dot would go through BLAS with no such
-        # bound.
-        return EnergyValue(mean=float(np.sum(probs * g.cuts)))
-    law = level_probs(g, probs)
+        # np.sum reduces pairwise within a slice, which keeps the error
+        # well under 1e-10 even for 2^20 terms; np.dot would go through
+        # BLAS with no such bound.
+        mean = 0.0
+        for probs, cuts in _pieces(g, amps):
+            mean += float(np.sum(probs * cuts))
+        return EnergyValue(mean=mean)
+    law = level_probs(g, amps)
     counts = rng.multinomial(shots, law / law.sum())
     levels = np.arange(law.size)
     mean = float(counts @ levels) / shots

@@ -15,7 +15,7 @@ from . import kernels
 from .errors import DomainError, ResourceLimitError
 from .seeding import stream_rng
 
-# one cap on every 2^n table: cut diagonals, statevectors, brute force
+# one cap on every 2^(n-1) table: cut diagonals, statevectors, brute force
 MAX_N = 24
 
 GRAPH_CLASSES = ("random", "ladder", "barbell", "caveman")
@@ -62,10 +62,11 @@ class Graph:
 
     @cached_property
     def cuts(self) -> np.ndarray:
-        """Cut size per basis state, length 2^n (int32), built on first use
-        and kept for the graph's lifetime."""
+        """Cut size per basis state with vertex n - 1 in partition 0, length
+        2^(n-1) (int32; a complement cuts the same edges), built on first
+        use and kept for the graph's lifetime."""
         if self.n > MAX_N:
-            raise ResourceLimitError(f"2^n tables capped at n={MAX_N}, "
+            raise ResourceLimitError(f"2^(n-1) tables capped at n={MAX_N}, "
                                      f"got n={self.n}")
         return kernels.cut_diagonal(self.n, self.edge_array())
 
@@ -265,15 +266,13 @@ def suite(name: str) -> list:
 
 
 def max_cut_bruteforce(g: Graph) -> CutResult:
-    """Exact maximum cut by enumerating 2^(n-1) assignments.
+    """Exact maximum cut: the argmax of the graph's half cut diagonal.
 
-    Scans the half-space where the top vertex sits in partition 0 (bit-flip
-    symmetry covers the other half); among optimal assignments the one with
-    the lowest bitstring value wins.
+    The half holds the 2^(n-1) assignments with the top vertex in
+    partition 0 (bit-flip symmetry covers the other half); among optimal
+    assignments the one with the lowest bitstring value wins.
     """
-    if g.n > MAX_N:
-        raise ResourceLimitError(f"brute force capped at n={MAX_N}, got n={g.n}")
-    value, z = kernels.bruteforce_best(g.n, g.edge_array())
-    bits = [(int(z) >> i) & 1 for i in range(g.n)]
-    assignment = tuple(1 - 2 * b for b in bits)
-    return CutResult(value=int(value), assignment=assignment)
+    cuts = g.cuts
+    z = int(np.argmax(cuts))
+    assignment = tuple(1 - 2 * ((z >> i) & 1) for i in range(g.n))
+    return CutResult(value=int(cuts[z]), assignment=assignment)

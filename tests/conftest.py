@@ -1,9 +1,10 @@
 """Shared test fixtures and independent reference implementations.
 
 The reference implementations here deliberately avoid the package's own
-kernels: cut values are counted bit-by-bit in pure Python, the circuit
-reference diagonalizes the full mixer matrix and the mixer reference applies
-one qubit at a time.  Agreement between these code paths and the package
+kernels: cut values are counted bit-by-bit in pure Python or by a numpy XOR
+over all 2^n assignments, the circuit reference diagonalizes the full mixer
+matrix on all 2^n amplitudes and the mixer reference applies one qubit at a
+time to a full state.  Agreement between these code paths and the package
 (whose p = 1 closed form, `engine.energy_p1`, needs no state at all) is
 therefore meaningful.
 """
@@ -28,6 +29,23 @@ def cuts_py(n, edges):
                 c += 1
         out.append(c)
     return out
+
+
+def cuts_np(n, edges):
+    """Numpy cut counter over all 2^n assignments: edge (u, v) is cut where
+    bits u and v of z differ (z >> u ^ z >> v has bit 0 set)."""
+    z = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.int64)
+    for u, v in edges:
+        out += ((z >> u) ^ (z >> v)) & 1
+    return out
+
+
+def full_state(half):
+    """All 2^n amplitudes from the package's half state (the 2^(n-1) with
+    the top bit clear, normalised to 1): amplitude z equals that of its
+    complement, which sits at the mirrored index."""
+    return np.concatenate([half, half[::-1]]) / math.sqrt(2.0)
 
 
 def dense_reference(n, edges, betas, gammas):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import dense_reference, random_graph
+from conftest import cuts_np, dense_reference, full_state, random_graph
 from qaoabench.baselines import multistart_collect
 from qaoabench.bench import (BenchConfig, approximation_ratios, gap_reduction,
                              optimality_ratios, run_bench, suite_cut_values)
@@ -83,7 +83,7 @@ def test_criterion_01_statevector_vs_dense_reference(criterion):
         p = (1, 2, 4)[case % 3]
         betas = rng.uniform(-math.pi, math.pi, p)
         gammas = rng.uniform(-math.pi, math.pi, p)
-        amps = evolve(g, QaoaParams(betas, gammas))
+        amps = full_state(evolve(g, QaoaParams(betas, gammas)))
         psi = dense_reference(g.n, g.edges, betas, gammas)
         worst = max(worst, float(np.max(np.abs(amps - psi))))
     elapsed = time.monotonic() - t0
@@ -146,7 +146,7 @@ def test_criterion_04_cut_oracle_cross_check(criterion, train_set, test_set):
     graphs = [g for _, g in train_set + test_set if g.n <= 16]
     bad = 0
     for g in graphs:
-        if float(np.max(g.cuts)) != float(max_cut_bruteforce(g).value):
+        if int(cuts_np(g.n, g.edges).max()) != max_cut_bruteforce(g).value:
             bad += 1
     assert criterion(4, bad == 0,
                      f"{len(graphs)} graphs, {bad} oracle mismatches")

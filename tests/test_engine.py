@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
-                      dense_reference, random_graph)
+                      dense_reference, full_state, random_graph)
 from qaoabench.engine import (
     EnergyValue,
     LandscapeGrid,
@@ -80,26 +80,32 @@ def test_energy_value_defaults():
 
 
 def test_cut_diagonal_k2():
-    np.testing.assert_array_equal(K2.cuts, [0, 1, 1, 0])
+    # the half with vertex 1 in partition 0: z = 00 and 01 of 00, 01, 10, 11
+    np.testing.assert_array_equal(K2.cuts, [0, 1])
     assert K2.cuts.dtype == np.int32
 
 
 def test_cut_diagonal_edgeless():
-    np.testing.assert_array_equal(Graph(3, ()).cuts, np.zeros(8))
+    np.testing.assert_array_equal(Graph(3, ()).cuts, np.zeros(4))
 
 
 def test_cut_diagonal_matches_python():
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = random_graph(rng, 2, 9)
-        np.testing.assert_array_equal(g.cuts, cuts_py(g.n, g.edges))
+        np.testing.assert_array_equal(g.cuts,
+                                      cuts_py(g.n, g.edges)[:1 << (g.n - 1)])
 
 
 def test_cut_diagonal_complement_symmetry():
+    # the symmetry the half diagonal rests on, checked on the pure-python
+    # cuts: z and its complement mask - z cut the same edges, so the upper
+    # half is the lower half reversed
     g = gen_erdos_renyi(7, 0.6, 4)
-    cuts = g.cuts
+    cuts = np.array(cuts_py(g.n, g.edges))
     mask = (1 << g.n) - 1
     np.testing.assert_array_equal(cuts, cuts[mask - np.arange(1 << g.n)])
+    np.testing.assert_array_equal(np.concatenate([g.cuts, g.cuts[::-1]]), cuts)
 
 
 def test_cut_diagonal_ladder_max():
@@ -117,7 +123,11 @@ def test_simulator_size_cap():
 def test_zero_angles_keep_uniform_state():
     g = gen_erdos_renyi(6, 0.5, 2)
     amps = evolve(g, QaoaParams([0.0, 0.0], [0.0, 0.0]))
-    np.testing.assert_allclose(amps, np.full(64, 1 / 8.0), atol=1e-15)
+    # the half state of 32 amplitudes, normalised to 1
+    np.testing.assert_allclose(amps, np.full(32, 1 / math.sqrt(32)),
+                               atol=1e-15)
+    np.testing.assert_allclose(full_state(amps), np.full(64, 1 / 8.0),
+                               atol=1e-15)
 
 
 def test_zero_angles_energy_is_half_edges():
@@ -137,12 +147,13 @@ def test_evolution_is_unitary():
 
 
 def test_state_has_complement_symmetry():
+    # the symmetry the half state rests on, checked on the dense reference
     g = gen_erdos_renyi(6, 0.6, 9)
     rng = np.random.default_rng(0)
-    params = QaoaParams(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-    amps = evolve(g, params)
+    betas, gammas = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+    psi = dense_reference(g.n, g.edges, betas, gammas)
     mask = (1 << g.n) - 1
-    np.testing.assert_allclose(amps, amps[mask - np.arange(1 << g.n)], atol=1e-12)
+    np.testing.assert_allclose(psi, psi[mask - np.arange(1 << g.n)], atol=1e-12)
 
 
 def test_evolve_matches_dense_reference():
@@ -153,7 +164,7 @@ def test_evolve_matches_dense_reference():
             g = random_graph(rng, n, n)
             betas = rng.uniform(-math.pi, math.pi, p)
             gammas = rng.uniform(-math.pi, math.pi, p)
-            fast = evolve(g, QaoaParams(betas, gammas))
+            fast = full_state(evolve(g, QaoaParams(betas, gammas)))
             ref = dense_reference(g.n, g.edges, betas, gammas)
             assert np.max(np.abs(fast - ref)) < 1e-10
 
@@ -198,8 +209,9 @@ def test_shots_follow_the_cut_level_law(g):
     rng = np.random.default_rng(8)
     params = QaoaParams(rng.uniform(-math.pi, math.pi, 2),
                         rng.uniform(-math.pi, math.pi, 2))
-    probs = np.abs(evolve(g, params)) ** 2
-    law = level_probs(g, probs)
+    half = evolve(g, params)
+    probs = np.abs(full_state(half)) ** 2
+    law = level_probs(g, half)
     want = np.zeros(g.num_edges + 1)
     for cut, prob in zip(cuts_py(g.n, g.edges), probs):
         want[cut] += prob
@@ -221,8 +233,7 @@ def test_energy_reads_the_graph_diagonal():
         assert g.cuts is cuts            # built once, kept by the graph
         params = QaoaParams(rng.uniform(-math.pi, math.pi, p),
                             rng.uniform(-math.pi, math.pi, p))
-        amps = evolve(g, params)
-        probs = np.abs(amps) ** 2
+        probs = np.abs(full_state(evolve(g, params))) ** 2
         assert energy(g, params).mean == pytest.approx(
             float(probs @ np.array(cuts_py(g.n, g.edges))), abs=1e-12)
         assert energy(g, params) == energy(g, params)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cut_of, cuts_py, random_graph, ER8_SEED1_EDGES
+from conftest import cut_of, cuts_np, cuts_py, random_graph, ER8_SEED1_EDGES
 from qaoabench.errors import DomainError, ResourceLimitError
 from qaoabench.graphs import (
     MAX_N,
@@ -191,7 +191,7 @@ def test_bruteforce_assignment_consistency():
         g = random_graph(rng, 2, 8)
         res = max_cut_bruteforce(g)
         assert cut_of(g, res.assignment) == res.value
-        assert res.value == max(cuts_py(g.n, g.edges))
+        assert res.value == cuts_np(g.n, g.edges).max()
 
 
 def test_bruteforce_tie_break_is_frozen():
@@ -201,8 +201,8 @@ def test_bruteforce_tie_break_is_frozen():
     for g, want in cases:
         res = max_cut_bruteforce(g)
         z = sum(1 << i for i, a in enumerate(res.assignment) if a == -1)
-        cuts = cuts_py(g.n, g.edges)
-        best = max(cuts)
+        cuts = cuts_np(g.n, g.edges)
+        best = cuts.max()
         assert z == want == min(zz for zz in range(1 << (g.n - 1))
                                 if cuts[zz] == best)
         assert res.assignment[g.n - 1] == 1
@@ -218,7 +218,7 @@ def test_bruteforce_size_cap():
 @given(st.integers(0, 10_000))
 def test_bruteforce_matches_enumeration(seed):
     g = random_graph(np.random.default_rng(seed), 2, 7)
-    assert max_cut_bruteforce(g).value == max(cuts_py(g.n, g.edges))
+    assert max_cut_bruteforce(g).value == cuts_np(g.n, g.edges).max()
 
 
 def test_group_of_every_family():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from conftest import cuts_py, mixer_per_qubit, random_graph
+from conftest import cuts_np, full_state, mixer_per_qubit, random_graph
 from qaoabench import kernels
 
 
@@ -12,28 +12,31 @@ def test_backend_is_reported():
     assert kernels.BACKEND == "numpy"
 
 
-def test_bruteforce_parity_and_chunking():
+def test_half_diagonal_matches_xor_enumeration():
+    # the half diagonal is the lower half of every cut, and its complement
+    # half is the mirror image, so its maximum is the maximum cut
     rng = np.random.default_rng(4)
     for _ in range(6):
         g = random_graph(rng, 2, 12)
-        edges = g.edge_array()
-        value, z = kernels.bruteforce_best(g.n, edges, chunk=64)
-        # chunked scan must agree with a single-chunk scan
-        assert (value, z) == kernels.bruteforce_best(g.n, edges, chunk=1 << 20)
-        assert value == max(cuts_py(g.n, g.edges))
+        half = kernels.cut_diagonal(g.n, g.edge_array())
+        want = cuts_np(g.n, g.edges)
+        np.testing.assert_array_equal(np.concatenate([half, half[::-1]]), want)
+        assert half.max() == want.max()
 
 
 def test_blocked_mixer_matches_per_qubit_loop():
-    # n below one block, exact multiples of the block, remainder blocks,
-    # and up to four slices, where the top block's groups outgrow a slice
-    n_max = kernels.SLICE.bit_length() + 1
+    # n below one block, exact multiples of the block, a last block that
+    # is the top qubit's reversal alone (n - 1 = 4, 8, 12, 16), a single
+    # column (n <= 4), and several slices, where the column pairs of the
+    # last block come a slice from each end
+    n_max = kernels.SLICE.bit_length() + 2
     rng = np.random.default_rng(21)
-    for n in range(1, n_max + 1):
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        amps /= np.linalg.norm(amps)
+    for n in range(2, n_max + 1):
+        half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+        half /= np.linalg.norm(half)
         beta = rng.uniform(-math.pi, math.pi)
         cos_b, msin_b = math.cos(beta), -1j * math.sin(beta)
-        want = amps.copy()
+        want = full_state(half)
         mixer_per_qubit(want, n, cos_b, msin_b)
-        kernels.apply_mixer(amps, n, cos_b, msin_b)
-        assert np.max(np.abs(amps - want)) < 1e-12, n
+        kernels.apply_mixer(half, n, cos_b, msin_b)
+        assert np.max(np.abs(full_state(half) - want)) < 1e-12, n
