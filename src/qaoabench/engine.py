@@ -11,10 +11,15 @@ clear, normalised to 1; bit-flip symmetry fixes the rest (the full state
 is the half and its reversal, over sqrt(2)).  Energies and cut-level laws
 are sums over the half with no factor 2.  Angles wrap
 into [-pi, pi] on construction; the spectrum is integer-valued, so wrapping
-never changes an energy.  The half cut diagonal belongs to the graph
-(`Graph.cuts`), so each instance builds it once however often it is
-evaluated.  The mixer applies its rotations in fused 4-qubit blocks, the
-top qubit folded into the last (`kernels.apply_mixer`), and a sampled
+never changes an energy.  The half cut diagonal and the phase index belong
+to the graph (`Graph.cuts`, `Graph.phase_index`), so each instance builds
+them once however often it is evaluated.
+
+The layers run in the frame of `kernels`: each entry is its amplitude
+over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
+blocks are real products and their phases ride in the cost-phase table.
+Energies and cut-level laws read |entry|^2, which is the probability
+itself; only the public `evolve` converts back to amplitudes.  A sampled
 energy draws its shots over the m + 1 cut levels rather than the basis
 states: the same law, but not the same draws as a per-bitstring
 multinomial.
@@ -85,22 +90,30 @@ class EnergyValue:
     stderr: float = 0.0
 
 
-def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
-    """Apply all p layers to the uniform state; returns fresh amplitudes of
-    the half state (2^(n-1) entries, normalised to 1).
+def _evolve_frame(g: Graph, params: QaoaParams) -> np.ndarray:
+    """All p layers from the uniform state, in the frame of `kernels`:
+    |entry z|^2 is the probability of z.
 
-    Reads the graph's cached cut diagonal.  Kernels are looked up on the
+    Reads the graph's cached phase index.  Kernels are looked up on the
     `kernels` module at call time, never bound to a local name.
     """
-    cuts = g.cuts
+    index = g.phase_index
     levels = np.arange(g.num_edges + 1, dtype=np.float64)
-    amps = np.full(cuts.size, 1.0 / math.sqrt(cuts.size), dtype=np.complex128)
+    amps = np.full(index.size, 1.0 / math.sqrt(index.size),
+                   dtype=np.complex128)
     for k in range(params.p):
-        table = np.exp(-1j * params.gammas[k] * levels)
-        kernels.apply_phase(amps, cuts, table)
-        beta = params.betas[k]
-        kernels.apply_mixer(amps, g.n, math.cos(beta), -1j * math.sin(beta))
+        table = kernels.phase_table(g.n, params.gammas[k], levels, k == 0)
+        kernels.apply_phase(amps, index, table)
+        kernels.apply_mixer(amps, g.n, params.betas[k])
     return amps
+
+
+def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
+    """Apply all p layers to the uniform state; returns fresh amplitudes of
+    the half state (2^(n-1) entries, normalised to 1), taken out of the
+    frame by `kernels.amplitudes`."""
+    return kernels.amplitudes(_evolve_frame(g, params), g.n, g.phase_index,
+                              g.num_edges)
 
 
 def _pieces(g: Graph, amps: np.ndarray):
@@ -131,7 +144,7 @@ def energy(g: Graph, params: QaoaParams, shots: int | None = None,
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels.
     """
-    amps = evolve(g, params)
+    amps = _evolve_frame(g, params)
     if shots is None:
         # np.sum reduces pairwise within a slice, which keeps the error
         # well under 1e-10 even for 2^20 terms; np.dot would go through

@@ -70,6 +70,12 @@ class Graph:
                                      f"got n={self.n}")
         return kernels.cut_diagonal(self.n, self.edge_array())
 
+    @cached_property
+    def phase_index(self) -> np.ndarray:
+        """`kernels.phase_index` of the cut diagonal, length 2^(n-1)
+        (int32), built on first use and kept for the graph's lifetime."""
+        return kernels.phase_index(self.n, self.cuts, self.num_edges)
+
 
 @dataclass(frozen=True)
 class InstanceSpec:

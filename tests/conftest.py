@@ -3,8 +3,9 @@
 The reference implementations here deliberately avoid the package's own
 kernels: cut values are counted bit-by-bit in pure Python or by a numpy XOR
 over all 2^n assignments, the circuit reference diagonalizes the full mixer
-matrix on all 2^n amplitudes and the mixer reference applies one qubit at a
-time to a full state.  Agreement between these code paths and the package
+matrix on all 2^n amplitudes, the mixer reference applies one qubit at a
+time to a full state, and the statevector reference runs the circuit with
+those two on all 2^n amplitudes.  Agreement between these code paths and the package
 (whose p = 1 closed form, `engine.energy_p1`, needs no state at all) is
 therefore meaningful.
 """
@@ -87,6 +88,18 @@ def mixer_per_qubit(amps, n, cos_b, msin_b):
         a1 = view[:, 1, :]
         view[:, 0, :] = cos_b * a0 + msin_b * a1
         view[:, 1, :] = msin_b * a0 + cos_b * a1
+
+
+def statevector_reference(n, edges, betas, gammas):
+    """All 2^n amplitudes of the circuit: `cuts_np` phases and
+    `mixer_per_qubit` rotations on the full state, no half and no frame.
+    Cheap enough to check n up to the high teens."""
+    cuts = cuts_np(n, edges)
+    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=complex)
+    for beta, gamma in zip(betas, gammas):
+        psi *= np.exp(-1j * gamma * cuts)
+        mixer_per_qubit(psi, n, math.cos(beta), -1j * math.sin(beta))
+    return psi
 
 
 def random_graph(rng, n_min=2, n_max=6):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
-                      dense_reference, full_state, random_graph)
+                      dense_reference, full_state, random_graph,
+                      statevector_reference)
 from qaoabench.engine import (
     EnergyValue,
     LandscapeGrid,
@@ -167,6 +168,19 @@ def test_evolve_matches_dense_reference():
             fast = full_state(evolve(g, QaoaParams(betas, gammas)))
             ref = dense_reference(g.n, g.edges, betas, gammas)
             assert np.max(np.abs(fast - ref)) < 1e-10
+
+
+def test_evolve_matches_statevector_reference_past_n9():
+    # n = 10..17: two and three middle blocks, and states past one slice
+    rng = np.random.default_rng(19)
+    for p in (1, 2):
+        for n in range(10, 18):
+            g = random_graph(rng, n, n)
+            betas = rng.uniform(-math.pi, math.pi, p)
+            gammas = rng.uniform(-math.pi, math.pi, p)
+            fast = full_state(evolve(g, QaoaParams(betas, gammas)))
+            ref = statevector_reference(g.n, g.edges, betas, gammas)
+            assert np.max(np.abs(fast - ref)) < 1e-10, (n, p)
 
 
 def test_energy_matches_p1_closed_form():

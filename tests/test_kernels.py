@@ -24,19 +24,39 @@ def test_half_diagonal_matches_xor_enumeration():
         assert half.max() == want.max()
 
 
-def test_blocked_mixer_matches_per_qubit_loop():
-    # n below one block, exact multiples of the block, a last block that
-    # is the top qubit's reversal alone (n - 1 = 4, 8, 12, 16), a single
-    # column (n <= 4), and several slices, where the column pairs of the
-    # last block come a slice from each end
+def test_frame_mixer_matches_per_qubit_loop():
+    # the kernel takes D * A to D^-1 * (mixer A), D = diag((-i)^pcm) and
+    # pcm the popcount of the middle bits, so a symmetric half state goes
+    # in times D and comes back times D: n <= 5 has no middle bits,
+    # n = 6..17 one to three middle blocks, and past one slice
+    # (n - 1 > 14) the top qubit's rows come a slice from each end
     n_max = kernels.SLICE.bit_length() + 2
     rng = np.random.default_rng(21)
     for n in range(2, n_max + 1):
         half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
         half /= np.linalg.norm(half)
+        w = kernels.middle_bits(n)
+        mid = (np.arange(half.size) >> (n - 1 - w)) & ((1 << w) - 1)
+        pcm = np.array([bin(x).count("1") for x in range(1 << w)])[mid]
+        turn = np.array([1, -1j, -1, 1j])[pcm % 4]
         beta = rng.uniform(-math.pi, math.pi)
-        cos_b, msin_b = math.cos(beta), -1j * math.sin(beta)
         want = full_state(half)
-        mixer_per_qubit(want, n, cos_b, msin_b)
-        kernels.apply_mixer(half, n, cos_b, msin_b)
-        assert np.max(np.abs(full_state(half) - want)) < 1e-12, n
+        mixer_per_qubit(want, n, math.cos(beta), -1j * math.sin(beta))
+        frame = half * turn
+        kernels.apply_mixer(frame, n, beta)
+        assert np.max(np.abs(full_state(frame * turn) - want)) < 1e-12, n
+
+
+def test_phase_index_counts_the_middle_bits():
+    # index = cut + (m + 1) * popcount of bits n - 1 - w .. n - 2
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 6, 9, 13):
+        g = random_graph(rng, n, n)
+        m = g.num_edges
+        index = kernels.phase_index(n, g.cuts, m)
+        assert index.dtype == np.int32
+        np.testing.assert_array_equal(index % (m + 1), g.cuts)
+        w = kernels.middle_bits(n)
+        mid = (np.arange(index.size) >> (n - 1 - w)) & ((1 << w) - 1)
+        pcm = [bin(x).count("1") for x in mid.tolist()]
+        np.testing.assert_array_equal(index // (m + 1), pcm)

@@ -579,7 +579,7 @@ def test_rl_optimize_deterministic_and_start():
 
 
 @pytest.mark.parametrize("g,p,shots,want", [
-    (gen_ladder(3), 1, 256, (4.09375, 4.023221736098776, 40)),
+    (gen_ladder(3), 1, 256, (4.09375, 4.023221736098774, 40)),
     (gen_caveman(2, 4), 2, 128, (8.234375, 8.00922572752637, 40)),
 ], ids=["ladder-p1", "caveman-p2"])
 def test_rl_optimize_reproduces_pinned_cells(g, p, shots, want):
