@@ -5,7 +5,7 @@ negated energy internally; the negation never reaches the trace, which
 records the values the meter produced.
 """
 
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -27,22 +27,30 @@ MULTISTART_BUDGET = 200
 
 
 def random_search(obj: MeteredObjective, seed: int) -> OptResult:
-    """Evaluate i.i.d. uniform points in [-pi, pi]^(2p) until budget runs out."""
+    """Evaluate i.i.d. uniform points in [-pi, pi]^(2p) until budget runs
+    out, drawn as one (remaining, 2p) array (the same doubles as one row at
+    a time) and evaluated in one batch."""
     if obj.remaining < 1:
         raise BudgetExhaustedError("no budget left for random search")
     rng = stream_rng(seed, "random-search")
-    d = 2 * obj.depth
     start = len(obj.trace)
-    while obj.remaining > 0:
-        obj(QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, d)))
+    obj(rng.uniform(-math.pi, math.pi, (obj.remaining, 2 * obj.depth)))
     return obj.result(since=start)
 
 
 def _simplex_diameter(points: np.ndarray) -> float:
-    diam = 0.0
-    for a, b in itertools.combinations(range(len(points)), 2):
-        diam = max(diam, float(np.linalg.norm(points[a] - points[b])))
-    return diam
+    """Largest distance between two vertices: the square root of the
+    largest x.dot(x) over the pairwise differences x, which is what
+    `np.linalg.norm` takes the root of."""
+    first, second = _pairs(len(points))
+    diffs = points[first] - points[second]
+    return math.sqrt(max(x.dot(x) for x in diffs))
+
+
+@functools.cache
+def _pairs(count: int):
+    """Index arrays of every vertex pair a < b of a simplex."""
+    return np.triu_indices(count, 1)
 
 
 def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
@@ -71,11 +79,19 @@ def simplex_search(obj: MeteredObjective, x0: QaoaParams) -> None:
         # simplex vectors stay unwrapped; evaluation wraps via QaoaParams
         return -obj(QaoaParams.from_vector(vec)).mean
 
+    def g_rows(vecs: np.ndarray) -> list[float]:
+        """g of each row in one batch, as many rows as the budget allows
+        (the points a loop of g calls would evaluate before running out)."""
+        values = [-ev.mean for ev in obj(vecs[:obj.remaining])]
+        if len(values) < len(vecs):
+            raise BudgetExhaustedError("budget ran out inside a batch")
+        return values
+
     pts = np.tile(x0.vector(), (d + 1, 1))
     for i in range(d):
         pts[i + 1, i] += NM_SIMPLEX_STEP
     try:
-        vals = np.array([g(v) for v in pts])
+        vals = np.array(g_rows(pts))
         while obj.remaining > 0 and _simplex_diameter(pts) >= NM_DIAMETER_TOL:
             order = np.argsort(vals, kind="stable")
             pts, vals = pts[order], vals[order]
@@ -100,9 +116,8 @@ def simplex_search(obj: MeteredObjective, x0: QaoaParams) -> None:
                 if accept:
                     pts[-1], vals[-1] = xc, fc
                 else:
-                    for i in range(1, d + 1):
-                        pts[i] = pts[0] + NM_SIGMA * (pts[i] - pts[0])
-                        vals[i] = g(pts[i])
+                    pts[1:] = pts[0] + NM_SIGMA * (pts[1:] - pts[0])
+                    vals[1:] = g_rows(pts[1:])
     except BudgetExhaustedError:
         pass
 

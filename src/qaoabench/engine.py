@@ -15,6 +15,12 @@ never changes an energy.  The half cut diagonal and the phase index belong
 to the graph (`Graph.cuts`, `Graph.phase_index`), so each instance builds
 them once however often it is evaluated.
 
+`evolve` and `energy` take one QaoaParams or a sequence of K of them.
+The K points evolve together along the leading axis of the kernels, in
+chunks of at most `kernels.SLICE` amplitudes (2^14 / 2^(n-1) points, one
+at a time from n = 15 up); one QaoaParams is the K = 1 case of the same
+path, and every point gets the values it would get alone, bit for bit.
+
 The layers run in the frame of `kernels`: each entry is its amplitude
 over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
 blocks are real products and their phases ride in the cost-phase table.
@@ -33,7 +39,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .graphs import Graph
-from .seeding import stream_rng
+from .seeding import reseed, stream_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,8 +83,25 @@ class QaoaParams:
         if vec.ndim != 1 or vec.size < 2 or vec.size % 2:
             raise DomainError(f"parameter vector must have even length >= 2, "
                               f"got shape {vec.shape}")
-        p = vec.size // 2
-        return cls(vec[:p], vec[p:])
+        return cls.rows(vec[None])[0]
+
+    @classmethod
+    def rows(cls, vecs) -> list["QaoaParams"]:
+        """`from_vector` of each row of a (K, 2p) array, wrapping the
+        whole array at once (elementwise, so the same bits as wrapping
+        each row on its own)."""
+        vecs = np.asarray(vecs, dtype=np.float64)
+        if vecs.ndim != 2 or vecs.shape[1] < 2 or vecs.shape[1] % 2:
+            raise DomainError(f"parameter rows must have even length >= 2, "
+                              f"got shape {vecs.shape}")
+        p = vecs.shape[1] // 2
+        out = []
+        for row in wrap_angles(vecs):
+            params = object.__new__(cls)
+            object.__setattr__(params, "betas", row[:p])
+            object.__setattr__(params, "gammas", row[p:])
+            out.append(params)
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,71 +113,111 @@ class EnergyValue:
     stderr: float = 0.0
 
 
-def _evolve_frame(g: Graph, params: QaoaParams) -> np.ndarray:
-    """All p layers from the uniform state, in the frame of `kernels`:
-    |entry z|^2 is the probability of z.
+def _evolve_frame(g: Graph, points) -> np.ndarray:
+    """All p layers from the uniform state for the K QaoaParams in the
+    list `points`, in the frame of `kernels`: row k of the (K, 2^(n-1))
+    result holds point k, and |entry|^2 is the probability of z.
 
     Reads the graph's cached phase index.  Kernels are looked up on the
     `kernels` module at call time, never bound to a local name.
     """
+    betas = np.array([q.betas for q in points])
+    gammas = np.array([q.gammas for q in points])
     index = g.phase_index
-    levels = np.arange(g.num_edges + 1, dtype=np.float64)
-    amps = np.full(index.size, 1.0 / math.sqrt(index.size),
-                   dtype=np.complex128)
-    for k in range(params.p):
-        table = kernels.phase_table(g.n, params.gammas[k], levels, k == 0)
-        kernels.apply_phase(amps, index, table)
-        kernels.apply_mixer(amps, g.n, params.betas[k])
+    tables = kernels.phase_tables(g.n, gammas, g.num_edges)
+    # the uniform start through the first phase layer: one gather
+    amps = tables[:, 0].take(index, axis=1)
+    kernels.apply_mixer(amps, g.n, betas[:, 0])
+    for k in range(1, betas.shape[1]):
+        kernels.apply_phase(amps, index, tables[:, k])
+        kernels.apply_mixer(amps, g.n, betas[:, k])
     return amps
 
 
-def evolve(g: Graph, params: QaoaParams) -> np.ndarray:
+def _frames(g: Graph, points):
+    """The frames of the list `points`, in order, a chunk of at most
+    `kernels.SLICE` amplitudes at a time (one point once the half state
+    fills a slice), so a batch's state stays cache-sized."""
+    step = max(1, kernels.SLICE >> (g.n - 1))
+    for lo in range(0, len(points), step):
+        yield _evolve_frame(g, points[lo:lo + step])
+
+
+def evolve(g: Graph, params) -> np.ndarray:
     """Apply all p layers to the uniform state; returns fresh amplitudes of
     the half state (2^(n-1) entries, normalised to 1), taken out of the
-    frame by `kernels.amplitudes`."""
-    return kernels.amplitudes(_evolve_frame(g, params), g.n, g.phase_index,
-                              g.num_edges)
+    frame by `kernels.amplitudes`.  `params` is one QaoaParams, or a
+    sequence of K of them for a (K, 2^(n-1)) array, row k for point k."""
+    one = isinstance(params, QaoaParams)
+    points = [params] if one else list(params)
+    amps = np.concatenate(list(_frames(g, points)))
+    amps = kernels.amplitudes(amps, g.n, g.phase_index, g.num_edges)
+    return amps[0] if one else amps
 
 
 def _pieces(g: Graph, amps: np.ndarray):
-    """(probabilities, cut sizes) of the half state `amps`, a slice of
-    `kernels.SLICE` amplitudes at a time, so no temporary outgrows the
-    cache."""
+    """(probabilities, cut sizes) of the K half states in the rows of
+    `amps`, a slice of `kernels.SLICE` columns at a time, so no temporary
+    of one state outgrows the cache."""
     cuts = g.cuts
     step = kernels.SLICE
-    for lo in range(0, amps.size, step):
-        a = amps[lo:lo + step]
+    for lo in range(0, amps.shape[1], step):
+        a = amps[:, lo:lo + step]
         yield a.real**2 + a.imag**2, cuts[lo:lo + step]
 
 
 def level_probs(g: Graph, amps: np.ndarray) -> np.ndarray:
     """Probability of each cut level 0..m in the half state `amps`: the
-    law of one measurement's cut size."""
-    law = np.zeros(g.num_edges + 1)
-    for probs, cuts in _pieces(g, amps):
-        law += np.bincount(cuts, weights=probs, minlength=law.size)
-    return law
+    law of one measurement's cut size.  For K states in the rows of a
+    (K, 2^(n-1)) array, one law per row, (K, m + 1)."""
+    size = g.num_edges + 1
+    rows = amps.reshape(-1, amps.shape[-1])
+    law = np.zeros((len(rows), size))
+    for probs, cuts in _pieces(g, rows):
+        for row, weights in zip(law, probs):
+            row += np.bincount(cuts, weights=weights, minlength=size)
+    return law.reshape(amps.shape[:-1] + (size,))
 
 
-def energy(g: Graph, params: QaoaParams, shots: int | None = None,
-           rng=None) -> EnergyValue:
+def energy(g: Graph, params, shots: int | None = None,
+           rng=None):
     """Exact expected cut size, or the mean of `shots` measurements drawn
     with `rng`.  Every statevector energy in the package is computed here.
+
+    `params` is one QaoaParams, for one EnergyValue, or a sequence of K of
+    them, for a list of K; then `rng` is an iterable of K generators,
+    taken in order, point k's draws made before generator k + 1 is taken
+    (so one generator re-pointed per point serves).  The points evolve
+    together, `_frames` chunks at a time.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels.
     """
-    amps = _evolve_frame(g, params)
-    if shots is None:
-        # np.sum reduces pairwise within a slice, which keeps the error
-        # well under 1e-10 even for 2^20 terms; np.dot would go through
-        # BLAS with no such bound.
-        mean = 0.0
-        for probs, cuts in _pieces(g, amps):
-            mean += float(np.sum(probs * cuts))
-        return EnergyValue(mean=mean)
-    law = level_probs(g, amps)
-    counts = rng.multinomial(shots, law / law.sum())
+    one = isinstance(params, QaoaParams)
+    points = [params] if one else list(params)
+    rngs = None if shots is None else iter([rng] if one else rng)
+    values = []
+    for amps in _frames(g, points):
+        if shots is None:
+            # a sum reduces pairwise within a slice, which keeps the error
+            # well under 1e-10 even for 2^20 terms; np.dot would go
+            # through BLAS with no such bound.
+            means = 0.0
+            for probs, cuts in _pieces(g, amps):
+                means = means + np.add.reduce(probs * cuts, axis=1)
+            values += map(EnergyValue, means.tolist())
+        else:
+            laws = level_probs(g, amps)
+            laws /= np.add.reduce(laws, axis=1, keepdims=True)
+            values += [_sampled(law, shots, r) for law, r in zip(laws, rngs)]
+        # free this chunk's states before the next chunk evolves
+        del amps
+    return values[0] if one else values
+
+
+def _sampled(law: np.ndarray, shots: int, rng) -> EnergyValue:
+    """Mean and standard error of `shots` cut sizes drawn from `law`."""
+    counts = rng.multinomial(shots, law)
     levels = np.arange(law.size)
     mean = float(counts @ levels) / shots
     if shots > 1:
@@ -225,7 +288,8 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
     """Evaluate the p=1 energy on a resolution x resolution grid.
 
     shots=None evaluates `energy_p1` over the whole grid at once; otherwise
-    each grid point is sampled with its own substream of `seed`.
+    each grid row is one batch, and point (i, j) is sampled with its own
+    substream (seed, "landscape", i, j).
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -237,11 +301,13 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
         mean = energy_p1(g, angles[:, None], angles)
     else:
         mean = np.zeros((resolution, resolution))
+        rng = np.random.Generator(np.random.Philox(0))
         for i, beta in enumerate(axis):
-            for j, gamma in enumerate(axis):
-                ev = energy(g, QaoaParams([beta], [gamma]), shots,
-                            stream_rng(seed, "landscape", i, j))
-                mean[i, j] = ev.mean
-                stderr[i, j] = ev.stderr
+            row = [QaoaParams([beta], [gamma]) for gamma in axis]
+            values = energy(g, row, shots, (
+                reseed(rng, seed, "landscape", i, j)
+                for j in range(resolution)))
+            mean[i] = [ev.mean for ev in values]
+            stderr[i] = [ev.stderr for ev in values]
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),
                          mean=mean, stderr=stderr)

@@ -92,19 +92,19 @@ def sample_vectors(model: KdeModel, m: int, seed: int) -> np.ndarray:
 
 
 def kde_sample(model: KdeModel, m: int, seed: int) -> list[QaoaParams]:
-    return [QaoaParams.from_vector(v) for v in sample_vectors(model, m, seed)]
+    return QaoaParams.rows(sample_vectors(model, m, seed))
 
 
 def kde_optimize(obj: MeteredObjective, model: KdeModel, seed: int) -> OptResult:
-    """Spend the remaining budget on mixture draws; return the argmax."""
+    """Spend the remaining budget on mixture draws, in one batch; return
+    the argmax."""
     if model.depth != obj.depth:
         raise DomainError(
             f"model depth {model.depth} != objective depth {obj.depth}")
     if obj.remaining < 1:
         raise DomainError("no budget left for kde_optimize")
     start = len(obj.trace)
-    for params in kde_sample(model, obj.remaining, seed):
-        obj(params)
+    obj(sample_vectors(model, obj.remaining, seed))
     return obj.result(since=start)
 
 

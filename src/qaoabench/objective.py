@@ -4,15 +4,25 @@ Every optimizer sees the energy only through a MeteredObjective, which
 counts calls against a fixed budget, records a full trace, and refuses to
 evaluate once the budget is gone.  Attempt-level comparisons stay fair
 because nothing can sneak extra circuit evaluations.
+
+A call takes one point or a batch of K points, charged as K evaluations
+and traced in order, with the same values, noise and trace as K single
+calls.  A batch evolves together, along the leading axis of the engine's
+kernels, in chunks of at most `kernels.SLICE` amplitudes: 2^14 / 2^(n-1)
+points, so one point at a time from n = 15 up.  Optimizers that know
+their points in advance (random search, the KDE sampler) spend their
+whole budget in one call.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .engine import EnergyValue, QaoaParams, energy
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
-from .seeding import stream_rng
+from .seeding import reseed
 
 
 @dataclass
@@ -29,9 +39,15 @@ class OptResult:
 class MeteredObjective:
     """Callable energy oracle with a hard evaluation budget.
 
-    `shots=None` evaluates exactly; otherwise each call draws a fresh
-    substream of `seed` indexed by call number, so the noise sequence is
-    reproducible and independent of parameter values.
+    `shots=None` evaluates exactly; otherwise evaluation i draws the
+    substream (seed, "metered", i) of `seed`, whether it came alone or in
+    a batch, so the noise sequence is reproducible and independent of
+    parameter values.  The objective owns one Philox generator and points
+    it at each evaluation's substream (`seeding.reseed`).
+
+    `fn(points, shots, rngs)` evaluates a list of QaoaParams, with an
+    iterable of one generator per point when sampled, and returns their
+    EnergyValues in order.
     """
 
     def __init__(self, fn, budget: int, depth: int = 1,
@@ -50,6 +66,8 @@ class MeteredObjective:
         self.seed = seed
         self.calls = 0
         self.trace: list[tuple[QaoaParams, EnergyValue]] = []
+        self._rng = (None if shots is None
+                     else np.random.Generator(np.random.Philox(0)))
 
     @classmethod
     def for_graph(cls, g: Graph, depth: int, budget: int,
@@ -66,8 +84,8 @@ class MeteredObjective:
     def for_function(cls, fn, budget: int, depth: int = 1) -> "MeteredObjective":
         """Meter an arbitrary params -> float map (test hook)."""
 
-        def wrapped(params: QaoaParams, shots_, rng) -> EnergyValue:
-            return EnergyValue(mean=float(fn(params)))
+        def wrapped(points, shots_, rngs) -> list[EnergyValue]:
+            return [EnergyValue(mean=float(fn(q))) for q in points]
 
         return cls(wrapped, budget, depth=depth, shots=None, seed=0)
 
@@ -75,17 +93,28 @@ class MeteredObjective:
     def remaining(self) -> int:
         return self.budget - self.calls
 
-    def __call__(self, params: QaoaParams) -> EnergyValue:
-        if self.calls >= self.budget:
+    def __call__(self, points):
+        """Evaluate one QaoaParams, for its EnergyValue, or a batch, for a
+        list: a sequence of QaoaParams, or a (K, 2p) array of vectors
+        [betas, gammas], wrapped like `QaoaParams` wraps them.  A batch
+        larger than `remaining` is refused whole, and nothing is charged.
+        """
+        one = isinstance(points, QaoaParams)
+        batch = [points] if one else _as_params(points)
+        count = len(batch)
+        if self.calls + count > self.budget:
             raise BudgetExhaustedError(
-                f"budget of {self.budget} evaluations exhausted")
-        rng = None
+                f"budget of {self.budget} evaluations exhausted" if one else
+                f"batch of {count} exceeds the {self.remaining} evaluations "
+                f"left of a budget of {self.budget}")
+        rngs = None
         if self.shots is not None:
-            rng = stream_rng(self.seed, "metered", self.calls)
-        value = self._fn(params, self.shots, rng)
-        self.calls += 1
-        self.trace.append((params, value))
-        return value
+            rngs = (reseed(self._rng, self.seed, "metered", self.calls + i)
+                    for i in range(count))
+        values = self._fn(batch, self.shots, rngs)
+        self.calls += count
+        self.trace += zip(batch, values)
+        return values[0] if one else values
 
     def exact_value(self, params: QaoaParams) -> float | None:
         """Exact energy at `params`, outside the budget; None for
@@ -104,6 +133,16 @@ class MeteredObjective:
         res.best_exact = (res.best_value if self.shots is None
                           else self.exact_value(res.best_params))
         return res
+
+
+def _as_params(points) -> list[QaoaParams]:
+    """A batch as a list: QaoaParams as given, vectors as `rows` builds
+    them."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+        if all(isinstance(q, QaoaParams) for q in points):
+            return points
+    return QaoaParams.rows(points)
 
 
 def result_from_trace(trace) -> OptResult:

@@ -89,7 +89,8 @@ def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
     energy is a trigonometric polynomial of degree 4 in beta and at most
     2n - 4 in gamma, and a uniform grid with more points per axis than
     that averages it exactly; `n_probe` and `seed` go unused.  At p > 1
-    it is the mean over `n_probe` uniform draws from `seed`'s stream.
+    it is the mean over `n_probe` uniform draws from `seed`'s stream, one
+    (n_probe, 2p) draw evaluated in one exact batch.
     """
     if n_probe < 1:
         raise DomainError(f"n_probe must be >= 1, got {n_probe}")
@@ -100,10 +101,10 @@ def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
         gammas = TWO_PI * np.arange(2 * g.n - 1) / (2 * g.n - 1) - math.pi
         return float(np.mean(energy_p1(g, betas[:, None], gammas)))
     rng = stream_rng(seed, "normalizer")
+    points = QaoaParams.rows(rng.uniform(-math.pi, math.pi, (n_probe, 2 * p)))
     total = 0.0
-    for _ in range(n_probe):
-        params = QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2 * p))
-        total += energy(g, params).mean
+    for value in energy(g, points):
+        total += value.mean
     return total / n_probe
 
 

@@ -42,9 +42,9 @@ def test_frame_mixer_matches_per_qubit_loop():
         beta = rng.uniform(-math.pi, math.pi)
         want = full_state(half)
         mixer_per_qubit(want, n, math.cos(beta), -1j * math.sin(beta))
-        frame = half * turn
-        kernels.apply_mixer(frame, n, beta)
-        assert np.max(np.abs(full_state(frame * turn) - want)) < 1e-12, n
+        frame = (half * turn)[None]
+        kernels.apply_mixer(frame, n, [beta])
+        assert np.max(np.abs(full_state(frame[0] * turn) - want)) < 1e-12, n
 
 
 def test_phase_index_counts_the_middle_bits():

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qaoabench.seeding import STREAM_VERSION, derive_seed, seed_sequence, stream_rng
+from qaoabench.seeding import (STREAM_VERSION, derive_seed, reseed,
+                               seed_sequence, stream_rng)
 
 
 def test_same_path_same_stream():
@@ -62,3 +63,19 @@ def test_streams_pinned_to_literal_draws():
     assert derive_seed(42, "bench") == 428562869691680205
     assert derive_seed(7, "bench", "L-n4", 1, "nm", 3) == 8348866121812021824
     assert derive_seed(0, "norm", 2) == 2251543623465876587
+
+
+def test_reseed_draws_like_a_fresh_stream():
+    # the objective re-points one generator per evaluation; its first
+    # draws must be those of the stream it stands for
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.random(7)                       # a used generator, mid-buffer
+    for root, path in ((0, ("metered", 0)), (9, ("metered", 191)),
+                       (2**40 + 3, ("landscape", 3, 5)), (7, ())):
+        fresh = stream_rng(root, *path)
+        assert reseed(rng, root, *path) is rng
+        assert rng.random() == fresh.random()
+        assert rng.multinomial(1000, [0.2, 0.5, 0.3]).tolist() == \
+            fresh.multinomial(1000, [0.2, 0.5, 0.3]).tolist()
+        assert rng.integers(0, 2**32, 3).tolist() == \
+            fresh.integers(0, 2**32, 3).tolist()
