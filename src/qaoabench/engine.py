@@ -20,6 +20,10 @@ The K points evolve together along the leading axis of the kernels, in
 chunks of at most `kernels.SLICE` amplitudes (2^14 / 2^(n-1) points, one
 at a time from n = 15 up); one QaoaParams is the K = 1 case of the same
 path, and every point gets the values it would get alone, bit for bit.
+The points share one Graph, or each has its own graph of one n, point k
+on graph k of a `GraphStack`: a lockstep training step of E walks is one
+stacked evaluation per n.  A Graph is the stack whose one index row and
+cut row every point shares.
 
 The layers run in the frame of `kernels`: each entry is its amplitude
 over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
@@ -113,73 +117,138 @@ class EnergyValue:
     stderr: float = 0.0
 
 
-def _evolve_frame(g: Graph, points) -> np.ndarray:
+class GraphStack:
+    """Same-n graphs, one per point of a batch: `evolve` and `energy` on a
+    stack take point k on graph k, and the points still evolve as one
+    kernel batch.  The stack holds its graphs' cut rows and phase-index
+    rows, the latter on the common level stride max m + 1, so build it
+    once and reuse it; a plain sequence of graphs is stacked per call."""
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        if not self.graphs:
+            raise DomainError("a graph stack needs at least one graph")
+        self.n = self.graphs[0].n
+        if any(g.n != self.n for g in self.graphs):
+            raise DomainError(f"stacked graphs must share n, got "
+                              f"{sorted({g.n for g in self.graphs})}")
+        self.sizes = [g.num_edges + 1 for g in self.graphs]
+        self.levels = max(self.sizes)
+        self.cuts = np.stack([g.cuts for g in self.graphs])
+        # each graph's own index, cut + size * pcm, restrided
+        self.index = np.stack([
+            g.cuts + self.levels * (g.phase_index // size)
+            for g, size in zip(self.graphs, self.sizes)])
+
+
+def _layout(g, count: int):
+    """(n, levels, index rows, cut rows, per-point level counts) of `g`
+    for `count` points: one row of a Graph, which every point shares, or
+    one row per point of a stack.  Index rows count the cut levels with
+    stride `levels`, the tables' stride."""
+    if isinstance(g, Graph):
+        levels = g.num_edges + 1
+        return (g.n, levels, g.phase_index[None], g.cuts[None],
+                [levels] * count)
+    if not isinstance(g, GraphStack):
+        g = GraphStack(g)
+    if len(g.graphs) != count:
+        raise DomainError(f"a stack of {len(g.graphs)} graphs takes one "
+                          f"point each, got {count}")
+    return g.n, g.levels, g.index, g.cuts, g.sizes
+
+
+def _rows(a, lo: int, count: int):
+    """Rows lo..lo + count of `a`, or its one row if every point shares
+    it."""
+    return a if len(a) == 1 else a[lo:lo + count]
+
+
+def _evolve_frame(n: int, levels: int, index, points) -> np.ndarray:
     """All p layers from the uniform state for the K QaoaParams in the
     list `points`, in the frame of `kernels`: row k of the (K, 2^(n-1))
     result holds point k, and |entry|^2 is the probability of z.
 
-    Reads the graph's cached phase index.  Kernels are looked up on the
-    `kernels` module at call time, never bound to a local name.
+    `index` holds one phase-index row per point, or one row they share,
+    on level stride `levels`; row k is offset into the k-th stretch of
+    each layer's table.  Kernels are looked up on the `kernels` module at
+    call time, never bound to a local name.
     """
     betas = np.array([q.betas for q in points])
     gammas = np.array([q.gammas for q in points])
-    index = g.phase_index
-    tables = kernels.phase_tables(g.n, gammas, g.num_edges)
+    tables = kernels.phase_tables(n, gammas, levels - 1)
+    flat = tables.reshape(len(tables), -1)
+    if len(points) > 1:
+        # row k reads the k-th stretch of each layer's table; a lone row
+        # reads the first as it is
+        index = index + np.arange(0, flat.shape[1], tables.shape[2])[:, None]
     # the uniform start through the first phase layer: one gather
-    amps = tables[:, 0].take(index, axis=1)
-    kernels.apply_mixer(amps, g.n, betas[:, 0])
-    for k in range(1, betas.shape[1]):
-        kernels.apply_phase(amps, index, tables[:, k])
-        kernels.apply_mixer(amps, g.n, betas[:, k])
+    amps = flat[0].take(index)
+    kernels.apply_mixer(amps, n, betas[:, 0])
+    for k in range(1, len(flat)):
+        kernels.apply_phase(amps, index, flat[k])
+        kernels.apply_mixer(amps, n, betas[:, k])
     return amps
 
 
-def _frames(g: Graph, points):
-    """The frames of the list `points`, in order, a chunk of at most
-    `kernels.SLICE` amplitudes at a time (one point once the half state
-    fills a slice), so a batch's state stays cache-sized."""
-    step = max(1, kernels.SLICE >> (g.n - 1))
+def _frames(n: int, levels: int, index, points):
+    """(first point, frames) of the list `points`, in order, a chunk of at
+    most `kernels.SLICE` amplitudes at a time (one point once the half
+    state fills a slice), so a batch's state stays cache-sized."""
+    step = max(1, kernels.SLICE >> (n - 1))
     for lo in range(0, len(points), step):
-        yield _evolve_frame(g, points[lo:lo + step])
+        chunk = points[lo:lo + step]
+        yield lo, _evolve_frame(n, levels, _rows(index, lo, len(chunk)),
+                                chunk)
 
 
-def evolve(g: Graph, params) -> np.ndarray:
+def evolve(g, params) -> np.ndarray:
     """Apply all p layers to the uniform state; returns fresh amplitudes of
     the half state (2^(n-1) entries, normalised to 1), taken out of the
     frame by `kernels.amplitudes`.  `params` is one QaoaParams, or a
-    sequence of K of them for a (K, 2^(n-1)) array, row k for point k."""
+    sequence of K of them for a (K, 2^(n-1)) array, row k for point k.
+    `g` is one Graph, or a GraphStack (or sequence) of K same-n graphs."""
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
-    amps = np.concatenate(list(_frames(g, points)))
-    amps = kernels.amplitudes(amps, g.n, g.phase_index, g.num_edges)
+    n, levels, index, _, _ = _layout(g, len(points))
+    amps = np.concatenate([f for _, f in _frames(n, levels, index, points)])
+    amps = kernels.amplitudes(amps, n, index, levels - 1)
     return amps[0] if one else amps
 
 
-def _pieces(g: Graph, amps: np.ndarray):
+def _pieces(cuts, amps: np.ndarray):
     """(probabilities, cut sizes) of the K half states in the rows of
     `amps`, a slice of `kernels.SLICE` columns at a time, so no temporary
-    of one state outgrows the cache."""
-    cuts = g.cuts
+    of one state outgrows the cache.  `cuts` holds one cut row per state,
+    or one row they share."""
     step = kernels.SLICE
     for lo in range(0, amps.shape[1], step):
         a = amps[:, lo:lo + step]
-        yield a.real**2 + a.imag**2, cuts[lo:lo + step]
+        yield a.real**2 + a.imag**2, cuts[:, lo:lo + step]
 
 
-def level_probs(g: Graph, amps: np.ndarray) -> np.ndarray:
+def _laws(cuts, amps: np.ndarray, levels: int) -> np.ndarray:
+    """(K, levels) probability of each cut level in the K rows of
+    `amps`."""
+    law = np.zeros((len(amps), levels))
+    for probs, piece in _pieces(cuts, amps):
+        rows = piece if len(piece) > 1 else [piece[0]] * len(probs)
+        for row, weights, c in zip(law, probs, rows):
+            row += np.bincount(c, weights=weights, minlength=levels)
+    return law
+
+
+def level_probs(g, amps: np.ndarray) -> np.ndarray:
     """Probability of each cut level 0..m in the half state `amps`: the
     law of one measurement's cut size.  For K states in the rows of a
-    (K, 2^(n-1)) array, one law per row, (K, m + 1)."""
-    size = g.num_edges + 1
+    (K, 2^(n-1)) array, one law per row, (K, m + 1); on a stack of K
+    graphs, m is the largest edge count."""
     rows = amps.reshape(-1, amps.shape[-1])
-    law = np.zeros((len(rows), size))
-    for probs, cuts in _pieces(g, rows):
-        for row, weights in zip(law, probs):
-            row += np.bincount(cuts, weights=weights, minlength=size)
-    return law.reshape(amps.shape[:-1] + (size,))
+    _, levels, _, cuts, _ = _layout(g, len(rows))
+    return _laws(cuts, rows, levels).reshape(amps.shape[:-1] + (levels,))
 
 
-def energy(g: Graph, params, shots: int | None = None,
+def energy(g, params, shots: int | None = None,
            rng=None):
     """Exact expected cut size, or the mean of `shots` measurements drawn
     with `rng`.  Every statevector energy in the package is computed here.
@@ -187,29 +256,38 @@ def energy(g: Graph, params, shots: int | None = None,
     `params` is one QaoaParams, for one EnergyValue, or a sequence of K of
     them, for a list of K; then `rng` is an iterable of K generators,
     taken in order, point k's draws made before generator k + 1 is taken
-    (so one generator re-pointed per point serves).  The points evolve
-    together, `_frames` chunks at a time.
+    (so one generator re-pointed per point serves).  `g` is one Graph for
+    every point, or a GraphStack (or sequence) of K same-n graphs, point
+    k on graph k.  The points evolve together, `_frames` chunks at a
+    time, and each gets the value it would get alone, bit for bit.
 
     A measurement enters the estimate only through its cut size, so the
-    shots are one multinomial draw over the m + 1 cut levels.
+    shots are one multinomial draw over the m + 1 cut levels of the
+    point's own graph.
     """
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
+    n, levels, index, cuts, sizes = _layout(g, len(points))
     rngs = None if shots is None else iter([rng] if one else rng)
     values = []
-    for amps in _frames(g, points):
+    for lo, amps in _frames(n, levels, index, points):
+        rows = _rows(cuts, lo, len(amps))
         if shots is None:
             # a sum reduces pairwise within a slice, which keeps the error
             # well under 1e-10 even for 2^20 terms; np.dot would go
             # through BLAS with no such bound.
             means = 0.0
-            for probs, cuts in _pieces(g, amps):
-                means = means + np.add.reduce(probs * cuts, axis=1)
+            for probs, piece in _pieces(rows, amps):
+                means = means + np.add.reduce(probs * piece, axis=1)
             values += map(EnergyValue, means.tolist())
         else:
-            laws = level_probs(g, amps)
-            laws /= np.add.reduce(laws, axis=1, keepdims=True)
-            values += [_sampled(law, shots, r) for law, r in zip(laws, rngs)]
+            laws = _laws(rows, amps, levels)
+            for law, size in zip(laws, sizes[lo:lo + len(amps)]):
+                # the point's own levels: zero levels past its m would
+                # change the normalizing sum and the multinomial's draws
+                law = law[:size]
+                values.append(_sampled(law / np.add.reduce(law), shots,
+                                       next(rngs)))
         # free this chunk's states before the next chunk evolves
         del amps
     return values[0] if one else values

@@ -34,9 +34,11 @@ Leading axis.  The layer kernels act on K states at once, the rows of a
 (K, 2^(n-1)) array, with one angle per row (`phase_tables`, `apply_phase`,
 `apply_mixer`); one evaluation is K = 1.  Each state's products are the
 ones a single state would get (its own GEMM per block), so a row's result
-does not depend on the batch around it.  Pieces are cut to SLICE
-amplitudes per state, and callers keep a batch to K * 2^(n-1) <= SLICE
-(one state at a time from n = 15 up), so a batch stays cache-sized.
+does not depend on the batch around it.  Row k reads its phases through
+its own index row, offset into the k-th stretch of a layer's table, so
+the rows may share one graph or each have their own.  Pieces are cut to
+SLICE amplitudes per state, and callers keep a batch to K * 2^(n-1) <=
+SLICE (one state at a time from n = 15 up), so a batch stays cache-sized.
 
 Edge arrays are int64 with shape (m, 2), u < v per row.  The cut diagonal
 and the phase index are exact integer arithmetic.  The mixer sums each
@@ -174,17 +176,18 @@ def _frame_turns(n):
 
 
 def phase_tables(n, gammas, m):
-    """The tables `apply_phase` reads through `phase_index`, (K, p, (w +
-    1) * (m + 1)) for the (K, p) angles `gammas`: the cost phase
-    exp(-i*gamma*cut) per cut level 0..m, times (-i)^pcm on the first
-    layer, which takes the amplitudes into the frame, and times (-1)^pcm
-    on every later one.  The first layer's table also carries the uniform
-    amplitude 2^(-(n-1)/2), so gathering it is the start state after the
-    first phase layer."""
+    """The tables `apply_phase` reads through `phase_index`, (p, K, (w +
+    1) * (m + 1)) for the (K, p) angles `gammas`, layer first: the cost
+    phase exp(-i*gamma*cut) per cut level 0..m, times (-i)^pcm on the
+    first layer, which takes the amplitudes into the frame, and times
+    (-1)^pcm on every later one.  The first layer's table also carries the
+    uniform amplitude 2^(-(n-1)/2), so gathering it is the start state
+    after the first phase layer.  An entry depends on its level, not on m,
+    so a larger m only appends levels."""
     count, depth = gammas.shape
-    phases = np.exp(gammas[:, :, None] * _turned_levels(m))
-    return (_layer_turns(n, depth)[:, :, None]
-            * phases[:, :, None, :]).reshape(count, depth, -1)
+    phases = np.exp(gammas.T[:, :, None] * _turned_levels(m))
+    return (_layer_turns(n, depth)[:, None, :, None]
+            * phases[:, :, None, :]).reshape(depth, count, -1)
 
 
 @functools.cache
@@ -210,17 +213,20 @@ def _layer_turns(n, depth):
 
 def amplitudes(frame, n, index, m):
     """In place, the amplitudes of states held in the frame (one per row):
-    one gather of (-i)^pcm, pcm = index // (m + 1)."""
+    one gather of (-i)^pcm, pcm = index // (m + 1), for a `phase_index`
+    of stride m + 1 (or rows of them, without offsets)."""
     frame *= _frame_turns(n)[0][index // (m + 1)]
     return frame
 
 
-def apply_phase(amps, index, tables):
-    """In-place amps[k, z] *= tables[k, index[z]] (diagonal cost-phase
-    layer), a slice of SLICE columns at a time so no temporary outgrows
-    the cache when K = 1.  `take` gathers faster than fancy indexing."""
+def apply_phase(amps, index, table):
+    """In-place amps[k, z] *= table[index[k, z]] (diagonal cost-phase
+    layer) for one layer's flat table, row k's index offset into its own
+    stretch of it; a slice of SLICE columns at a time, so no temporary
+    outgrows the cache when K = 1.  `take` gathers faster than fancy
+    indexing."""
     for lo in range(0, amps.shape[1], SLICE):
-        amps[:, lo:lo + SLICE] *= tables.take(index[lo:lo + SLICE], axis=1)
+        amps[:, lo:lo + SLICE] *= table.take(index[:, lo:lo + SLICE])
 
 
 def apply_mixer(amps, n, betas):

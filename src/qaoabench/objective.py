@@ -12,6 +12,11 @@ kernels, in chunks of at most `kernels.SLICE` amplitudes: 2^14 / 2^(n-1)
 points, so one point at a time from n = 15 up.  Optimizers that know
 their points in advance (random search, the KDE sampler) spend their
 whole budget in one call.
+
+An `ObjectiveStack` takes one point for each of several objectives, as
+lockstep walks do: the points of graph objectives with the same n (and
+shots) evolve as one stacked evaluation, and each objective is charged,
+traced and given noise as if it had been called alone.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .engine import EnergyValue, QaoaParams, energy
+from .engine import EnergyValue, GraphStack, QaoaParams, energy
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import reseed
@@ -109,12 +114,15 @@ class MeteredObjective:
                 f"left of a budget of {self.budget}")
         rngs = None
         if self.shots is not None:
-            rngs = (reseed(self._rng, self.seed, "metered", self.calls + i)
-                    for i in range(count))
+            rngs = (self._stream(self.calls + i) for i in range(count))
         values = self._fn(batch, self.shots, rngs)
         self.calls += count
         self.trace += zip(batch, values)
         return values[0] if one else values
+
+    def _stream(self, i: int):
+        """The generator pointed at evaluation i's noise substream."""
+        return reseed(self._rng, self.seed, "metered", i)
 
     def exact_value(self, params: QaoaParams) -> float | None:
         """Exact energy at `params`, outside the budget; None for
@@ -133,6 +141,61 @@ class MeteredObjective:
         res.best_exact = (res.best_value if self.shots is None
                           else self.exact_value(res.best_params))
         return res
+
+
+class ObjectiveStack:
+    """Metered objectives that take one point each per call, in a fixed
+    order.  The graph objectives are grouped by (n, shots) once, and each
+    group's points go to `energy` as one stacked evaluation on a
+    GraphStack of its graphs; an objective with no graph is called on its
+    own.  Every objective is charged one evaluation, traced and given the
+    noise of its own next evaluation, as if it had been called alone, and
+    every budget is checked before anything is evaluated, so a refused
+    call charges nothing.
+    """
+
+    def __init__(self, objs):
+        self.objs = list(objs)
+        if len({id(obj) for obj in self.objs}) != len(self.objs):
+            raise DomainError("an objective can take only one point per "
+                              "stacked call")
+        groups = {}
+        self._alone = []
+        for k, obj in enumerate(self.objs):
+            if obj.graph is None:
+                self._alone.append(k)
+            else:
+                groups.setdefault((obj.graph.n, obj.shots), []).append(k)
+        self._groups = [
+            (rows, GraphStack([self.objs[k].graph for k in rows]))
+            for rows in groups.values()]
+
+    def __call__(self, points) -> list[EnergyValue]:
+        """EnergyValue of points[k], a QaoaParams, on objs[k], for every
+        k."""
+        objs = self.objs
+        if len(points) != len(objs):
+            raise DomainError(f"{len(objs)} objectives take one point each, "
+                              f"got {len(points)}")
+        for obj in objs:
+            if obj.calls >= obj.budget:
+                raise BudgetExhaustedError(
+                    f"budget of {obj.budget} evaluations exhausted")
+        values = [None] * len(objs)
+        for rows, stack in self._groups:
+            shots = objs[rows[0]].shots
+            rngs = None if shots is None else (
+                objs[k]._stream(objs[k].calls) for k in rows)
+            for k, value in zip(rows, energy(
+                    stack, [points[k] for k in rows], shots, rngs)):
+                values[k] = value
+        for k in self._alone:
+            values[k] = objs[k](points[k])
+        for rows, _ in self._groups:
+            for k in rows:
+                objs[k].calls += 1
+                objs[k].trace.append((points[k], values[k]))
+        return values
 
 
 def _as_params(points) -> list[QaoaParams]:

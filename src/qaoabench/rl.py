@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import POLICY_SCHEMA, read_json, write_json
-from .engine import TWO_PI, QaoaParams, energy, energy_p1
+from .engine import TWO_PI, QaoaParams, energy, energy_p1, wrap_angles
 from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
-from .objective import MeteredObjective, OptResult, result_from_trace
+from .objective import (MeteredObjective, ObjectiveStack, OptResult,
+                        result_from_trace)
 from .baselines import simplex_search
 from .seeding import derive_seed, stream_rng
 
@@ -41,24 +42,34 @@ class Walk:
     walk's normalizer, 0 until filled.  `states` is the same memory as
     (E, state_dim) policy inputs.  Walk e starts at `start`, else at a
     uniform point drawn from `seeds[e]`, for one metered eval.
+
+    The E positions `current` are one wrapped (E, 2p) array.  Each step
+    evaluates its E points through one `ObjectiveStack`: one stacked
+    evaluation per n, each objective charged and traced as if called
+    alone.
     """
 
     def __init__(self, objs, seeds, normalizers,
                  start: QaoaParams | None = None):
-        self.objs = list(objs)
-        p = self.objs[0].depth
+        self._stack = ObjectiveStack(objs)
+        self.objs = self._stack.objs
+        count, p = len(self.objs), self.objs[0].depth
         if start is None:
-            rngs = [stream_rng(derive_seed(seed, "reset"), "env-reset")
-                    for seed in seeds]
-            points = [QaoaParams.from_vector(
-                rng.uniform(-math.pi, math.pi, 2 * p)) for rng in rngs]
+            raw = np.array([
+                stream_rng(derive_seed(seed, "reset"), "env-reset").uniform(
+                    -math.pi, math.pi, 2 * p) for seed in seeds])
+            points = QaoaParams.rows(raw)
+            self.current = wrap_angles(raw)
         else:
-            points = [start] * len(self.objs)
-        self.current = np.array([x.vector() for x in points])
-        self.f = np.array([obj(x).mean for obj, x in zip(self.objs, points)])
+            points = [start] * count
+            self.current = np.tile(start.vector(), (count, 1))
+        self.f = self._values(points)
         self.normalizers = np.asarray(normalizers, dtype=np.float64)
-        self.states = np.zeros((len(self.objs), state_dim(p)))
-        self.history = self.states.reshape(len(self.objs), HISTORY_LEN, -1)
+        self.states = np.zeros((count, state_dim(p)))
+        self.history = self.states.reshape(count, HISTORY_LEN, -1)
+
+    def _values(self, points) -> np.ndarray:
+        return np.array([value.mean for value in self._stack(points)])
 
     def step(self, actions) -> np.ndarray:
         """Move each walk by its row of `actions`, bounded parameter steps
@@ -70,10 +81,10 @@ class Walk:
         if np.any(np.abs(steps) > ACTION_BOUND + 1e-12):
             raise DomainError(f"action components must stay in "
                               f"[-{ACTION_BOUND}, {ACTION_BOUND}]")
-        points = [QaoaParams.from_vector(x) for x in self.current + steps]
-        f_next = np.array([obj(x).mean for obj, x in zip(self.objs, points)])
+        raw = self.current + steps
+        f_next = self._values(QaoaParams.rows(raw))
         rewards = (f_next - self.f) / self.normalizers
-        self.current = np.array([x.vector() for x in points])
+        self.current = wrap_angles(raw)
         self.f = f_next
         self.history[:, 1:] = self.history[:, :-1]
         self.history[:, 0, 0] = rewards

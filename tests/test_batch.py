@@ -2,7 +2,9 @@
 
 A batch evolves along the leading axis of the kernels, in chunks of at
 most `kernels.SLICE` amplitudes; its states, energies, noise and trace
-must equal those of evaluating the points one at a time.
+must equal those of evaluating the points one at a time.  The same holds
+for a stack, one point on each of K same-n graphs, and so for lockstep
+walks against one-row walks.
 """
 
 import math
@@ -13,11 +15,13 @@ import pytest
 from conftest import random_graph
 from qaoabench import kernels
 from qaoabench.baselines import random_search
-from qaoabench.engine import QaoaParams, energy, evolve
+from qaoabench.engine import GraphStack, QaoaParams, energy, evolve
 from qaoabench.errors import BudgetExhaustedError, DomainError
-from qaoabench.graphs import gen_ladder
+from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.kde import kde_fit, kde_optimize
-from qaoabench.objective import MeteredObjective
+from qaoabench.objective import MeteredObjective, ObjectiveStack
+from qaoabench.rl import ACTION_BOUND, Walk
+from qaoabench.seeding import stream_rng
 
 
 def _points(rng, p, count):
@@ -137,3 +141,154 @@ def test_batched_optimizers_keep_the_pinned_traces():
     kde_optimize(obj, model, seed=7)
     assert [q.vector().tolist() for q, _ in obj.trace[:3]] == KDE_PINNED
     assert [ev.mean for _, ev in obj.trace[:3]] == KDE_MEANS
+
+
+# --- stacks: one point per graph, one kernel batch per n -------------------
+
+def _graph(rng, n, m):
+    """A graph on n vertices with m distinct random edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = rng.choice(len(pairs), size=m, replace=False)
+    return Graph(n, tuple(pairs[i] for i in sorted(picks)))
+
+
+def test_stacked_energy_equals_single_energies_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for n in (3, 9, 13):
+        # edge counts differ, and one graph is repeated
+        graphs = [_graph(rng, n, m) for m in (1, 3, n, 2)]
+        graphs.append(graphs[1])
+        stack = GraphStack(graphs)
+        points = _points(rng, 2, len(graphs))
+        assert [ev.mean for ev in energy(stack, points)] == [
+            energy(g, q).mean for g, q in zip(graphs, points)]
+        sampled = energy(graphs, points, 64,
+                         (stream_rng(5, "stack", k) for k in range(5)))
+        assert sampled == [
+            energy(g, q, 64, stream_rng(5, "stack", k))
+            for k, (g, q) in enumerate(zip(graphs, points))]
+        frames = evolve(stack, points)
+        for row, g, q in zip(frames, graphs, points):
+            np.testing.assert_array_equal(row, evolve(g, q))
+
+
+def test_graph_stacks_refuse_mixed_n_and_other_counts():
+    with pytest.raises(DomainError):
+        GraphStack([gen_ladder(2), gen_ladder(3)])
+    with pytest.raises(DomainError):
+        GraphStack([])
+    stack = GraphStack([gen_ladder(3), gen_ladder(3)])
+    with pytest.raises(DomainError):
+        energy(stack, [QaoaParams([0.1], [0.2])] * 3)
+
+
+def _objective(g, p, shots, seed, budget):
+    if g is None:
+        def fn(q):
+            return -float(np.sum(q.vector() ** 2))
+
+        return MeteredObjective.for_function(fn, budget=budget, depth=p)
+    return MeteredObjective.for_graph(g, depth=p, budget=budget,
+                                      shots=shots, seed=seed)
+
+
+def _walks(graphs, p, shots, steps):
+    """A walk over `graphs` (None for a `for_function` objective) and the
+    one-row walks of each graph, all given the same fixed actions."""
+    rng = np.random.default_rng(19)
+    actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND,
+                          (steps, len(graphs), 2 * p))
+    seeds = [30 + e for e in range(len(graphs))]
+    norms = [1.0 + 0.5 * e for e in range(len(graphs))]
+
+    def objs(rows):
+        return [_objective(graphs[e], p, shots, 40 + e, steps + 1)
+                for e in rows]
+
+    stacked = Walk(objs(range(len(graphs))), seeds, norms)
+    singles = [Walk(objs([e]), [seeds[e]], [norms[e]])
+               for e in range(len(graphs))]
+    return stacked, singles, actions
+
+
+def _assert_walks_agree(stacked, singles, actions):
+    for step in actions:
+        rewards = stacked.step(step)
+        for e, one in enumerate(singles):
+            assert one.step(step[e:e + 1]).tolist() == [rewards[e]]
+    for e, one in enumerate(singles):
+        assert one.f.tolist() == [stacked.f[e]]
+        assert one.current.tolist() == [stacked.current[e].tolist()]
+        assert one.states.tolist() == [stacked.states[e].tolist()]
+        obj, alone = stacked.objs[e], one.objs[0]
+        assert obj.calls == alone.calls == len(obj.trace)
+        assert [ev for _, ev in obj.trace] == [ev for _, ev in alone.trace]
+        assert [q.vector().tolist() for q, _ in obj.trace] == [
+            q.vector().tolist() for q, _ in alone.trace]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("shots", [None, 64])
+def test_stacked_walk_equals_one_row_walks(p, shots):
+    rng = np.random.default_rng(20 + p)
+    graphs = [_graph(rng, 7, m) for m in (4, 9, 15)]
+    graphs.insert(2, graphs[0])
+    _assert_walks_agree(*_walks(graphs, p, shots, steps=6))
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_mixed_walk_equals_one_row_walks(shots):
+    # two n's, a graph-less objective between them
+    rng = np.random.default_rng(22)
+    graphs = [_graph(rng, 5, 6), _graph(rng, 8, 11), None,
+              _graph(rng, 5, 3)]
+    _assert_walks_agree(*_walks(graphs, 2, shots, steps=5))
+
+
+def test_stack_over_chunks_equals_one_row_walks(monkeypatch):
+    # 5 walks at n = 13: chunks of SLICE / 2^12 = 4 points and 1
+    rng = np.random.default_rng(23)
+    graphs = [_graph(rng, 13, m) for m in (12, 20, 30, 16, 25)]
+    stacked, singles, actions = _walks(graphs, 1, 64, steps=2)
+    rows = []
+    original = kernels.apply_mixer
+
+    def counting(amps, n, betas):
+        rows.append(len(amps))
+        return original(amps, n, betas)
+
+    monkeypatch.setattr(kernels, "apply_mixer", counting)
+    stacked.step(actions[0])
+    assert rows == [4, 1]
+    for e, one in enumerate(singles):
+        one.step(actions[0, e:e + 1])
+    _assert_walks_agree(stacked, singles, actions[1:])
+
+
+def test_stacked_step_over_one_budget_charges_nothing(monkeypatch):
+    rng = np.random.default_rng(24)
+    objs = [MeteredObjective.for_graph(_graph(rng, 6, m), depth=1,
+                                       budget=b, shots=32, seed=m)
+            for m, b in ((5, 4), (8, 1), (3, 4))]
+    walk = Walk(objs, [1, 2, 3], [1.0, 1.0, 1.0])
+    before = [(obj.calls, list(obj.trace)) for obj in objs]
+    current, f = walk.current.copy(), walk.f.copy()
+    evals = []
+    monkeypatch.setattr(kernels, "apply_mixer",
+                        lambda *args: evals.append(args))
+    with pytest.raises(BudgetExhaustedError):
+        walk.step(np.zeros((3, 2)))
+    assert evals == []
+    assert [(obj.calls, obj.trace) for obj in objs] == before
+    np.testing.assert_array_equal(walk.current, current)
+    np.testing.assert_array_equal(walk.f, f)
+
+
+def test_objective_stacks_take_each_objective_once():
+    obj = MeteredObjective.for_graph(gen_ladder(2), depth=1, budget=4)
+    with pytest.raises(DomainError):
+        ObjectiveStack([obj, obj])
+    stack = ObjectiveStack([obj])
+    with pytest.raises(DomainError):
+        stack([])
+    assert obj.calls == 0
