@@ -13,7 +13,7 @@ import numpy as np
 from .engine import QaoaParams
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
-from .objective import MeteredObjective, OptResult
+from .objective import MeteredObjective, OptResult, lockstep
 from .seeding import stream_rng
 
 NM_ALPHA = 1.0     # reflection
@@ -55,88 +55,88 @@ def _pairs(count: int):
 
 def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
     """Simplex search maximizing the metered objective from x0
-    (`simplex_search`); returns the best point this run evaluated."""
-    start = len(obj.trace)
-    simplex_search(obj, x0)
-    return obj.result(since=start)
+    (`simplex_steps`); returns the best point this run evaluated."""
+    return nelder_mead_all([obj], [x0])[0]
 
 
-def simplex_search(obj: MeteredObjective, x0: QaoaParams) -> None:
-    """Nelder-Mead steps from x0; the caller reads the points from obj.trace.
+def nelder_mead_all(objs, starts) -> list[OptResult]:
+    """`nelder_mead` on each objs[k] from starts[k], the runs in lockstep
+    (`objective.lockstep`), so each round's points are one request."""
+    since = [len(obj.trace) for obj in objs]
+    lockstep(objs, [simplex_steps(x0.vector(), obj.remaining)
+                    for obj, x0 in zip(objs, starts)])
+    return [obj.result(since=k) for obj, k in zip(objs, since)]
 
-    Classic coefficients (reflect 1, expand 2, contract 0.5, shrink 0.5);
-    the initial simplex offsets each coordinate of x0 by +0.25 rad.  Stops
-    when the budget runs out or the simplex diameter drops below 1e-4.  The
-    method is deterministic.
+
+def simplex_steps(x0: np.ndarray, budget: int):
+    """Nelder-Mead from the vector x0 as a step generator: it yields the
+    (K, d) vectors of its next step, at most the `budget` left, and is
+    sent their K metered means.  Classic coefficients (reflect 1, expand
+    2, contract 0.5, shrink 0.5); the start simplex offsets each coordinate
+    of x0 by +0.25 rad, then a step is one point, or the d of a shrink.
+    Stops when the budget runs out or the simplex diameter drops below
+    1e-4.  Deterministic; it minimizes the negated means on unwrapped
+    vectors, which the objective wraps.
     """
-    d = 2 * x0.p
-    if obj.remaining < d + 2:
+    d = len(x0)
+    if budget < d + 2:
         raise DomainError(
             f"nelder_mead needs at least {d + 2} evaluations, "
-            f"{obj.remaining} left in budget")
-
-    def g(vec: np.ndarray) -> float:
-        # simplex vectors stay unwrapped; evaluation wraps via QaoaParams
-        return -obj(QaoaParams.from_vector(vec)).mean
-
-    def g_rows(vecs: np.ndarray) -> list[float]:
-        """g of each row in one batch, as many rows as the budget allows
-        (the points a loop of g calls would evaluate before running out)."""
-        values = [-ev.mean for ev in obj(vecs[:obj.remaining])]
-        if len(values) < len(vecs):
-            raise BudgetExhaustedError("budget ran out inside a batch")
-        return values
-
-    pts = np.tile(x0.vector(), (d + 1, 1))
+            f"{budget} left in budget")
+    pts = np.tile(x0, (d + 1, 1))
     for i in range(d):
         pts[i + 1, i] += NM_SIMPLEX_STEP
-    try:
-        vals = np.array(g_rows(pts))
-        while obj.remaining > 0 and _simplex_diameter(pts) >= NM_DIAMETER_TOL:
-            order = np.argsort(vals, kind="stable")
-            pts, vals = pts[order], vals[order]
-            centroid = pts[:-1].mean(axis=0)
-            xr = centroid + NM_ALPHA * (centroid - pts[-1])
-            fr = g(xr)
-            if fr < vals[0]:
-                xe = centroid + NM_GAMMA * (centroid - pts[-1])
-                fe = g(xe)
-                pts[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
-            elif fr < vals[-2]:
-                pts[-1], vals[-1] = xr, fr
-            else:
-                if fr < vals[-1]:   # outside contraction
-                    xc = centroid + NM_RHO * (centroid - pts[-1])
-                    fc = g(xc)
-                    accept = fc <= fr
-                else:               # inside contraction
-                    xc = centroid - NM_RHO * (centroid - pts[-1])
-                    fc = g(xc)
-                    accept = fc < vals[-1]
-                if accept:
-                    pts[-1], vals[-1] = xc, fc
-                else:
-                    pts[1:] = pts[0] + NM_SIGMA * (pts[1:] - pts[0])
-                    vals[1:] = g_rows(pts[1:])
-    except BudgetExhaustedError:
-        pass
+    left = budget - (d + 1)
+    vals = -(yield pts)
+    while left and _simplex_diameter(pts) >= NM_DIAMETER_TOL:
+        order = np.argsort(vals, kind="stable")
+        pts, vals = pts[order], vals[order]
+        centroid = pts[:-1].mean(axis=0)
+        xr = centroid + NM_ALPHA * (centroid - pts[-1])
+        left -= 1
+        fr = -(yield xr[None])[0]
+        if vals[0] <= fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+            continue
+        if not left:
+            return
+        left -= 1
+        if fr < vals[0]:
+            xe = centroid + NM_GAMMA * (centroid - pts[-1])
+            fe = -(yield xe[None])[0]
+            pts[-1], vals[-1] = (xe, fe) if fe < fr else (xr, fr)
+            continue
+        # an outside contraction if the reflection beat the worst point,
+        # else an inside one
+        outside = fr < vals[-1]
+        xc = centroid + (NM_RHO if outside else -NM_RHO) * (centroid
+                                                            - pts[-1])
+        fc = -(yield xc[None])[0]
+        if fc <= fr if outside else fc < vals[-1]:
+            pts[-1], vals[-1] = xc, fc
+            continue
+        pts[1:] = pts[0] + NM_SIGMA * (pts[1:] - pts[0])
+        count = min(d, left)
+        left -= count
+        vals[1:count + 1] = -(yield pts[1:count + 1])
+        if count < d:
+            return
 
 
 def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaParams]:
     """Near-optimal parameter set for one instance and depth.
 
     Runs exact-mode Nelder-Mead (budget 200) from n_starts uniform points
-    and keeps each final point whose exact value reaches 99% of the best
-    value any start found.
+    in lockstep and keeps each final point whose exact value reaches 99%
+    of the best value any start found.
     """
     if n_starts < 1:
         raise DomainError(f"n_starts must be >= 1, got {n_starts}")
     rng = stream_rng(seed, "multistart")
     starts = rng.uniform(-math.pi, math.pi, (n_starts, 2 * p))
-    results = []
-    for x0 in starts:
-        obj = MeteredObjective.for_graph(g, depth=p, budget=MULTISTART_BUDGET)
-        results.append(nelder_mead(obj, QaoaParams.from_vector(x0)))
+    results = nelder_mead_all(
+        [MeteredObjective.for_graph(g, depth=p, budget=MULTISTART_BUDGET)
+         for _ in starts], QaoaParams.rows(starts))
     best = max(r.best_value for r in results)
     return [r.best_params for r in results if r.best_value >= 0.99 * best]
 

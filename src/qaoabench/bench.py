@@ -16,14 +16,14 @@ from statistics import median
 
 from .artifacts import METRICS_SCHEMA, RECORDS_SCHEMA, TAU_SCHEMA, \
     read_csv, write_csv, write_json
-from .baselines import nelder_mead, random_search
-from .engine import QaoaParams
+from .baselines import nelder_mead_all, random_search
+from .engine import QaoaParams, chunk_points
 from .errors import ConfigError, DomainError
 from .graphs import MAX_N, group_of, instance_id, \
     max_cut_bruteforce, realize, spec_from_id
 from .kde import kde_optimize
 from .objective import MeteredObjective
-from .rl import rl_optimize
+from .rl import rl_optimize_all
 from .seeding import derive_seed, stream_rng
 
 ROSTER = ("random", "nm", "kde", "rl")
@@ -81,30 +81,35 @@ def _shared_start(root_seed: int, iid: str, depth: int,
     return QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2 * depth))
 
 
-def _run_cell(spec, g, depth: int, optimizer: str, attempt: int,
-              cfg: BenchConfig, model) -> BenchRecord:
-    iid = instance_id(spec)
-    obj = MeteredObjective.for_graph(
+def _run_cell(cells, cfg: BenchConfig, depth: int, optimizer: str,
+              model) -> list:
+    """The records of a lockstep group of (spec, graph, attempt) cells at
+    one n, each cell with its own objective and noise stream."""
+    keys = [(instance_id(spec), attempt) for spec, _, attempt in cells]
+    # lazy, so random and kde cells run and free their traces one by one
+    objs = (MeteredObjective.for_graph(
         g, depth=depth, budget=cfg.budget, shots=cfg.shots,
-        seed=derive_seed(cfg.seed, "cell-noise", iid, depth, optimizer,
-                         attempt))
-    opt_seed = derive_seed(cfg.seed, "cell-opt", iid, depth, optimizer,
-                           attempt)
+        seed=derive_seed(cfg.seed, "cell-noise", iid, depth, optimizer, a))
+        for (_, g, _), (iid, a) in zip(cells, keys))
+    seeds = [derive_seed(cfg.seed, "cell-opt", iid, depth, optimizer, a)
+             for iid, a in keys]
+    starts = [_shared_start(cfg.seed, iid, depth, a) for iid, a in keys]
     if optimizer == "random":
-        res = random_search(obj, opt_seed)
+        results = map(random_search, objs, seeds)
     elif optimizer == "nm":
-        res = nelder_mead(obj, _shared_start(cfg.seed, iid, depth, attempt))
+        results = nelder_mead_all(list(objs), starts)
     elif optimizer == "kde":
-        res = kde_optimize(obj, model, opt_seed)
+        results = (kde_optimize(obj, model, seed)
+                   for obj, seed in zip(objs, seeds))
     elif optimizer == "rl":
-        res = rl_optimize(obj, model, opt_seed,
-                          start=_shared_start(cfg.seed, iid, depth, attempt))
+        results = rl_optimize_all(list(objs), model, seeds, starts)
     else:
         raise ConfigError(f"unknown optimizer {optimizer!r}")
-    return BenchRecord(instance=iid, group=group_of(spec), depth=depth,
-                       optimizer=optimizer, attempt=attempt,
-                       best_value=res.best_value, best_exact=res.best_exact,
-                       evals_used=res.evals_used)
+    return [BenchRecord(instance=instance_id(spec), group=group_of(spec),
+                        depth=depth, optimizer=optimizer, attempt=attempt,
+                        best_value=res.best_value, best_exact=res.best_exact,
+                        evals_used=res.evals_used)
+            for (spec, _, attempt), res in zip(cells, results)]
 
 
 def _model_for(models, optimizer: str, depth: int):
@@ -123,22 +128,30 @@ def run_bench(suite, roster, cfg: BenchConfig, models=None,
     """All roster x suite x depth x attempt cells, canonically sorted.
 
     `models` maps optimizer name -> {depth: model} for the learned methods.
-    Cells are independent; threads > 1 fans them over a process pool
+    Cells run in lockstep groups of one (n, depth, optimizer); threads > 1
+    splits each group in `threads` parts or more over a process pool,
     without changing any result.
     """
-    jobs = []
+    groups = {}
     for spec, g in suite:
         for depth in cfg.depths:
             for optimizer in roster:
-                model = _model_for(models, optimizer, depth)
-                for attempt in range(cfg.attempts):
-                    jobs.append((spec, g, depth, optimizer, attempt, cfg,
-                                 model))
+                groups.setdefault((g.n, depth, optimizer), []).extend(
+                    (spec, g, attempt) for attempt in range(cfg.attempts))
+    jobs = []
+    for (n, depth, optimizer), cells in groups.items():
+        model = _model_for(models, optimizer, depth)
+        # a group of more cells than a kernel chunk holds states stacks no
+        # more, and only holds more traces at once
+        parts = max(threads, -(-len(cells) // chunk_points(n)))
+        jobs += [(cells[part::parts], cfg, depth, optimizer, model)
+                 for part in range(min(parts, len(cells)))]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_cell_star, jobs, chunksize=4))
+            batches = list(pool.map(_run_cell_star, jobs))
     else:
-        records = [_run_cell(*job) for job in jobs]
+        batches = [_run_cell(*job) for job in jobs]
+    records = [r for batch in batches for r in batch]
     records.sort(key=lambda r: (r.instance, r.depth, r.optimizer, r.attempt))
     return records
 

@@ -168,7 +168,7 @@ def cmd_build_sstar(args, config) -> tuple:
                     g, [q.betas[0] for q in admitted],
                     [q.gammas[0] for q in admitted])))
             else:
-                best = max(energy(g, q).mean for q in admitted)
+                best = max(value.mean for value in energy(g, admitted))
             entries.append({"instance_id": iid, "p": p,
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})

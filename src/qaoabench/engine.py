@@ -15,15 +15,12 @@ never changes an energy.  The half cut diagonal and the phase index belong
 to the graph (`Graph.cuts`, `Graph.phase_index`), so each instance builds
 them once however often it is evaluated.
 
-`evolve` and `energy` take one QaoaParams or a sequence of K of them.
-The K points evolve together along the leading axis of the kernels, in
-chunks of at most `kernels.SLICE` amplitudes (2^14 / 2^(n-1) points, one
-at a time from n = 15 up); one QaoaParams is the K = 1 case of the same
-path, and every point gets the values it would get alone, bit for bit.
-The points share one Graph, or each has its own graph of one n, point k
-on graph k of a `GraphStack`: a lockstep training step of E walks is one
-stacked evaluation per n.  A Graph is the stack whose one index row and
-cut row every point shares.
+`evolve` and `energy` take one QaoaParams or a sequence of K of them,
+which evolve together along the leading axis of the kernels, each with
+the values it would get alone, bit for bit.  The points share one Graph,
+whose index row and cut row every point reads, or each has its row of a
+`GraphStack` of same-n graphs: a lockstep round of many optimizer runs
+is one stacked evaluation per n.
 
 The layers run in the frame of `kernels`: each entry is its amplitude
 over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
@@ -35,6 +32,7 @@ states: the same law, but not the same draws as a per-bitstring
 multinomial.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -118,11 +116,11 @@ class EnergyValue:
 
 
 class GraphStack:
-    """Same-n graphs, one per point of a batch: `evolve` and `energy` on a
-    stack take point k on graph k, and the points still evolve as one
-    kernel batch.  The stack holds its graphs' cut rows and phase-index
-    rows, the latter on the common level stride max m + 1, so build it
-    once and reuse it; a plain sequence of graphs is stacked per call."""
+    """Same-n graphs, one row each: `evolve` and `energy` on a stack take
+    point k on graph rows[k], by default graph k, as one kernel batch.  It
+    holds the graphs' cut rows and phase-index rows, the latter on the
+    common level stride max m + 1, so build it once and reuse it; a plain
+    sequence of graphs is stacked per call."""
 
     def __init__(self, graphs):
         self.graphs = tuple(graphs)
@@ -139,29 +137,37 @@ class GraphStack:
         self.index = np.stack([
             g.cuts + self.levels * (g.phase_index // size)
             for g, size in zip(self.graphs, self.sizes)])
+        self.rows = np.arange(len(self.graphs))
+
+    def on(self, rows) -> "GraphStack":
+        """This stack with point k on graph rows[k], sharing its arrays."""
+        stack = copy.copy(self)
+        stack.rows = np.asarray(rows, dtype=np.intp)
+        return stack
 
 
 def _layout(g, count: int):
-    """(n, levels, index rows, cut rows, per-point level counts) of `g`
-    for `count` points: one row of a Graph, which every point shares, or
-    one row per point of a stack.  Index rows count the cut levels with
-    stride `levels`, the tables' stride."""
+    """(n, levels, index rows, cut rows, point rows, per-point level
+    counts) of `g` for `count` points: one row of a Graph, which every
+    point shares, or the rows of a stack, point k on row `point rows[k]`.
+    Index rows count the cut levels with stride `levels`, the tables'."""
     if isinstance(g, Graph):
         levels = g.num_edges + 1
-        return (g.n, levels, g.phase_index[None], g.cuts[None],
+        return (g.n, levels, g.phase_index[None], g.cuts[None], None,
                 [levels] * count)
     if not isinstance(g, GraphStack):
         g = GraphStack(g)
-    if len(g.graphs) != count:
-        raise DomainError(f"a stack of {len(g.graphs)} graphs takes one "
+    if len(g.rows) != count:
+        raise DomainError(f"a stack of {len(g.rows)} graph rows takes one "
                           f"point each, got {count}")
-    return g.n, g.levels, g.index, g.cuts, g.sizes
+    return (g.n, g.levels, g.index, g.cuts, g.rows,
+            [g.sizes[r] for r in g.rows])
 
 
-def _rows(a, lo: int, count: int):
-    """Rows lo..lo + count of `a`, or its one row if every point shares
-    it."""
-    return a if len(a) == 1 else a[lo:lo + count]
+def _rows(a, rows, lo: int, count: int):
+    """The rows of `a` for points lo..lo + count: its one row if every
+    point shares it, else row rows[k] for point k."""
+    return a if len(a) == 1 else a.take(rows[lo:lo + count], axis=0)
 
 
 def _evolve_frame(n: int, levels: int, index, points) -> np.ndarray:
@@ -191,14 +197,19 @@ def _evolve_frame(n: int, levels: int, index, points) -> np.ndarray:
     return amps
 
 
-def _frames(n: int, levels: int, index, points):
-    """(first point, frames) of the list `points`, in order, a chunk of at
-    most `kernels.SLICE` amplitudes at a time (one point once the half
-    state fills a slice), so a batch's state stays cache-sized."""
-    step = max(1, kernels.SLICE >> (n - 1))
+def chunk_points(n: int) -> int:
+    """Points per kernel batch: SLICE amplitudes, one point from n = 15."""
+    return max(1, kernels.SLICE >> (n - 1))
+
+
+def _frames(n: int, levels: int, index, rows, points):
+    """(first point, frames) of the list `points`, in order, a chunk of
+    `chunk_points(n)` at a time, so a batch's state stays cache-sized;
+    point k reads index row rows[k] (`_rows`)."""
+    step = chunk_points(n)
     for lo in range(0, len(points), step):
         chunk = points[lo:lo + step]
-        yield lo, _evolve_frame(n, levels, _rows(index, lo, len(chunk)),
+        yield lo, _evolve_frame(n, levels, _rows(index, rows, lo, len(chunk)),
                                 chunk)
 
 
@@ -210,9 +221,11 @@ def evolve(g, params) -> np.ndarray:
     `g` is one Graph, or a GraphStack (or sequence) of K same-n graphs."""
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
-    n, levels, index, _, _ = _layout(g, len(points))
-    amps = np.concatenate([f for _, f in _frames(n, levels, index, points)])
-    amps = kernels.amplitudes(amps, n, index, levels - 1)
+    n, levels, index, _, rows, _ = _layout(g, len(points))
+    amps = np.concatenate([f for _, f in _frames(n, levels, index, rows,
+                                                 points)])
+    amps = kernels.amplitudes(amps, n, _rows(index, rows, 0, len(points)),
+                              levels - 1)
     return amps[0] if one else amps
 
 
@@ -238,16 +251,6 @@ def _laws(cuts, amps: np.ndarray, levels: int) -> np.ndarray:
     return law
 
 
-def level_probs(g, amps: np.ndarray) -> np.ndarray:
-    """Probability of each cut level 0..m in the half state `amps`: the
-    law of one measurement's cut size.  For K states in the rows of a
-    (K, 2^(n-1)) array, one law per row, (K, m + 1); on a stack of K
-    graphs, m is the largest edge count."""
-    rows = amps.reshape(-1, amps.shape[-1])
-    _, levels, _, cuts, _ = _layout(g, len(rows))
-    return _laws(cuts, rows, levels).reshape(amps.shape[:-1] + (levels,))
-
-
 def energy(g, params, shots: int | None = None,
            rng=None):
     """Exact expected cut size, or the mean of `shots` measurements drawn
@@ -257,9 +260,10 @@ def energy(g, params, shots: int | None = None,
     them, for a list of K; then `rng` is an iterable of K generators,
     taken in order, point k's draws made before generator k + 1 is taken
     (so one generator re-pointed per point serves).  `g` is one Graph for
-    every point, or a GraphStack (or sequence) of K same-n graphs, point
-    k on graph k.  The points evolve together, `_frames` chunks at a
-    time, and each gets the value it would get alone, bit for bit.
+    every point, or a GraphStack (or sequence) of same-n graphs, point k
+    on graph rows[k] of the stack.  The points evolve together, `_frames`
+    chunks at a time, and each gets the value it would get alone, bit for
+    bit.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels of the
@@ -267,21 +271,21 @@ def energy(g, params, shots: int | None = None,
     """
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
-    n, levels, index, cuts, sizes = _layout(g, len(points))
+    n, levels, index, cuts, rows, sizes = _layout(g, len(points))
     rngs = None if shots is None else iter([rng] if one else rng)
     values = []
-    for lo, amps in _frames(n, levels, index, points):
-        rows = _rows(cuts, lo, len(amps))
+    for lo, amps in _frames(n, levels, index, rows, points):
+        chunk_cuts = _rows(cuts, rows, lo, len(amps))
         if shots is None:
             # a sum reduces pairwise within a slice, which keeps the error
             # well under 1e-10 even for 2^20 terms; np.dot would go
             # through BLAS with no such bound.
             means = 0.0
-            for probs, piece in _pieces(rows, amps):
+            for probs, piece in _pieces(chunk_cuts, amps):
                 means = means + np.add.reduce(probs * piece, axis=1)
             values += map(EnergyValue, means.tolist())
         else:
-            laws = _laws(rows, amps, levels)
+            laws = _laws(chunk_cuts, amps, levels)
             for law, size in zip(laws, sizes[lo:lo + len(amps)]):
                 # the point's own levels: zero levels past its m would
                 # change the normalizing sum and the multinomial's draws

@@ -91,10 +91,6 @@ def sample_vectors(model: KdeModel, m: int, seed: int) -> np.ndarray:
     return wrap_angles(model.centers[idx] + noise)
 
 
-def kde_sample(model: KdeModel, m: int, seed: int) -> list[QaoaParams]:
-    return QaoaParams.rows(sample_vectors(model, m, seed))
-
-
 def kde_optimize(obj: MeteredObjective, model: KdeModel, seed: int) -> OptResult:
     """Spend the remaining budget on mixture draws, in one batch; return
     the argmax."""

@@ -5,26 +5,22 @@ counts calls against a fixed budget, records a full trace, and refuses to
 evaluate once the budget is gone.  Attempt-level comparisons stay fair
 because nothing can sneak extra circuit evaluations.
 
-A call takes one point or a batch of K points, charged as K evaluations
-and traced in order, with the same values, noise and trace as K single
-calls.  A batch evolves together, along the leading axis of the engine's
-kernels, in chunks of at most `kernels.SLICE` amplitudes: 2^14 / 2^(n-1)
-points, so one point at a time from n = 15 up.  Optimizers that know
-their points in advance (random search, the KDE sampler) spend their
-whole budget in one call.
-
-An `ObjectiveStack` takes one point for each of several objectives, as
-lockstep walks do: the points of graph objectives with the same n (and
-shots) evolve as one stacked evaluation, and each objective is charged,
-traced and given noise as if it had been called alone.
+A call takes one point or a batch of K points, which evolve together
+(`engine.energy`), charged as K evaluations and traced in order, with
+the same values, noise and trace as K single calls; random search and
+the KDE sampler spend their whole budget in one call.  Every metered
+energy goes through one request path, `Meter`, and `lockstep` drives
+many step-by-step optimizer runs through it, one call per round.
 """
 
+import contextlib
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .engine import EnergyValue, GraphStack, QaoaParams, energy
+from .engine import EnergyValue, GraphStack, QaoaParams, chunk_points, \
+    energy
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import reseed
@@ -106,18 +102,7 @@ class MeteredObjective:
         """
         one = isinstance(points, QaoaParams)
         batch = [points] if one else _as_params(points)
-        count = len(batch)
-        if self.calls + count > self.budget:
-            raise BudgetExhaustedError(
-                f"budget of {self.budget} evaluations exhausted" if one else
-                f"batch of {count} exceeds the {self.remaining} evaluations "
-                f"left of a budget of {self.budget}")
-        rngs = None
-        if self.shots is not None:
-            rngs = (self._stream(self.calls + i) for i in range(count))
-        values = self._fn(batch, self.shots, rngs)
-        self.calls += count
-        self.trace += zip(batch, values)
+        values = _ALONE._evaluate([(self, batch)])[0]
         return values[0] if one else values
 
     def _stream(self, i: int):
@@ -143,59 +128,91 @@ class MeteredObjective:
         return res
 
 
-class ObjectiveStack:
-    """Metered objectives that take one point each per call, in a fixed
-    order.  The graph objectives are grouped by (n, shots) once, and each
-    group's points go to `energy` as one stacked evaluation on a
-    GraphStack of its graphs; an objective with no graph is called on its
-    own.  Every objective is charged one evaluation, traced and given the
-    noise of its own next evaluation, as if it had been called alone, and
-    every budget is checked before anything is evaluated, so a refused
-    call charges nothing.
-    """
+class Meter:
+    """The metered request path: a call takes requests (objective, points),
+    a list of QaoaParams each, and returns their EnergyValues.  It checks
+    every budget first, evaluates the graph requests of one (n, shots) as
+    one stacked `energy` call, the points of one graph on its row, then
+    charges, traces and gives noise to each objective in order, as if
+    called alone.  Stacks are built once, of the graphs of `objs`, where a
+    kernel chunk holds more than one state (n <= 14).  A call with one
+    request is that objective's own call."""
 
-    def __init__(self, objs):
-        self.objs = list(objs)
-        if len({id(obj) for obj in self.objs}) != len(self.objs):
-            raise DomainError("an objective can take only one point per "
-                              "stacked call")
+    def __init__(self, objs=()):
         groups = {}
-        self._alone = []
-        for k, obj in enumerate(self.objs):
-            if obj.graph is None:
-                self._alone.append(k)
-            else:
-                groups.setdefault((obj.graph.n, obj.shots), []).append(k)
-        self._groups = [
-            (rows, GraphStack([self.objs[k].graph for k in rows]))
-            for rows in groups.values()]
-
-    def __call__(self, points) -> list[EnergyValue]:
-        """EnergyValue of points[k], a QaoaParams, on objs[k], for every
-        k."""
-        objs = self.objs
-        if len(points) != len(objs):
-            raise DomainError(f"{len(objs)} objectives take one point each, "
-                              f"got {len(points)}")
         for obj in objs:
-            if obj.calls >= obj.budget:
+            g = obj.graph
+            if g is not None and chunk_points(g.n) > 1:
+                groups.setdefault((g.n, obj.shots), {})[id(g)] = g
+        self._stacks, self._rows = {}, {}
+        for key, graphs in groups.items():
+            if len(graphs) > 1:
+                self._stacks[key] = GraphStack(graphs.values())
+                self._rows.update({key + (gid,): row
+                                   for row, gid in enumerate(graphs)})
+
+    def __call__(self, requests) -> list:
+        """The EnergyValues of each request, a list per request."""
+        if len(requests) == 1:
+            obj, points = requests[0]
+            return [obj(points)]
+        return self._evaluate(requests)
+
+    def _evaluate(self, requests) -> list:
+        """`__call__` without the one-request shortcut."""
+        if len({id(obj) for obj, _ in requests}) < len(requests):
+            raise DomainError("an objective takes one request per call")
+        for obj, points in requests:
+            if len(points) > obj.remaining:
                 raise BudgetExhaustedError(
-                    f"budget of {obj.budget} evaluations exhausted")
-        values = [None] * len(objs)
-        for rows, stack in self._groups:
-            shots = objs[rows[0]].shots
+                    f"{len(points)} evaluations exceed the {obj.remaining} "
+                    f"left of a budget of {obj.budget}")
+        values = [[] for _ in requests]
+        groups = {}
+        for k, (obj, points) in enumerate(requests):
+            g = obj.graph
+            key = (None, id(obj)) if g is None else (g.n, obj.shots, id(g))
+            if points:
+                groups.setdefault(key[:2] if key in self._rows else key,
+                                  []).append(k)
+        for key, members in groups.items():
+            batch = [requests[k] for k in members]
+            fn, shots = batch[0][0]._fn, batch[0][0].shots
+            if key in self._stacks:
+                fn = partial(energy, self._stacks[key].on([
+                    self._rows[key + (id(obj.graph),)]
+                    for obj, points in batch for _ in points]))
             rngs = None if shots is None else (
-                objs[k]._stream(objs[k].calls) for k in rows)
-            for k, value in zip(rows, energy(
-                    stack, [points[k] for k in rows], shots, rngs)):
-                values[k] = value
-        for k in self._alone:
-            values[k] = objs[k](points[k])
-        for rows, _ in self._groups:
-            for k in rows:
-                objs[k].calls += 1
-                objs[k].trace.append((points[k], values[k]))
+                obj._stream(obj.calls + i)
+                for obj, points in batch for i in range(len(points)))
+            out = iter(fn([q for _, points in batch for q in points], shots,
+                          rngs))
+            for k, (_, points) in zip(members, batch):
+                values[k] = [next(out) for _ in points]
+        for (obj, points), vals in zip(requests, values):
+            obj.calls += len(points)
+            obj.trace += zip(points, vals)
         return values
+
+
+_ALONE = Meter()
+
+
+def lockstep(objs, runs) -> None:
+    """Drive step generators to their end, run k on objs[k]: a run yields
+    the (K, 2p) vectors of its next step and is sent their K metered
+    means, and each round sends every live run's points through one
+    `Meter` call over `objs`."""
+    meter = Meter(objs)
+    live = [(obj, run, next(run)) for obj, run in zip(objs, runs)]
+    while live:
+        values = meter([(obj, QaoaParams.rows(vecs))
+                        for obj, _, vecs in live])
+        rounds, live = zip(live, values), []
+        for (obj, run, _), vals in rounds:
+            with contextlib.suppress(StopIteration):
+                live.append((obj, run, run.send(
+                    np.array([value.mean for value in vals]))))
 
 
 def _as_params(points) -> list[QaoaParams]:
@@ -211,10 +228,7 @@ def _as_params(points) -> list[QaoaParams]:
 def result_from_trace(trace) -> OptResult:
     if not trace:
         raise DomainError("empty trace has no best point")
-    best_i = 0
-    best_v = trace[0][1].mean
-    for i, (_, ev) in enumerate(trace):
-        if ev.mean > best_v:
-            best_i, best_v = i, ev.mean
-    return OptResult(best_params=trace[best_i][0], best_value=best_v,
+    # the first of equal values wins, as max keeps it
+    best_q, best = max(trace, key=lambda step: step[1].mean)
+    return OptResult(best_params=best_q, best_value=best.mean,
                      evals_used=len(trace), trace=list(trace))

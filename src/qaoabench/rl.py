@@ -18,9 +18,9 @@ from .engine import TWO_PI, QaoaParams, energy, energy_p1, wrap_angles
 from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
-from .objective import (MeteredObjective, ObjectiveStack, OptResult,
+from .objective import (Meter, MeteredObjective, OptResult, lockstep,
                         result_from_trace)
-from .baselines import simplex_search
+from .baselines import simplex_steps
 from .seeding import derive_seed, stream_rng
 
 HISTORY_LEN = 4
@@ -40,36 +40,34 @@ class Walk:
     `history` (E, L, 2p + 1) holds each walk's last L moves, newest first:
     rows [df, dbeta_1..dbeta_p, dgamma_1..dgamma_p], df divided by the
     walk's normalizer, 0 until filled.  `states` is the same memory as
-    (E, state_dim) policy inputs.  Walk e starts at `start`, else at a
+    (E, state_dim) policy inputs.  Walk e starts at `starts[e]`, else at a
     uniform point drawn from `seeds[e]`, for one metered eval.
 
-    The E positions `current` are one wrapped (E, 2p) array.  Each step
-    evaluates its E points through one `ObjectiveStack`: one stacked
-    evaluation per n, each objective charged and traced as if called
-    alone.
+    The E positions `current` are one wrapped (E, 2p) array; a step's E
+    points are one-point requests of one `Meter` call.
     """
 
-    def __init__(self, objs, seeds, normalizers,
-                 start: QaoaParams | None = None):
-        self._stack = ObjectiveStack(objs)
-        self.objs = self._stack.objs
+    def __init__(self, objs, seeds, normalizers, starts=None):
+        self.objs = list(objs)
+        self._meter = Meter(self.objs)
         count, p = len(self.objs), self.objs[0].depth
-        if start is None:
+        if starts is None:
             raw = np.array([
                 stream_rng(derive_seed(seed, "reset"), "env-reset").uniform(
                     -math.pi, math.pi, 2 * p) for seed in seeds])
             points = QaoaParams.rows(raw)
             self.current = wrap_angles(raw)
         else:
-            points = [start] * count
-            self.current = np.tile(start.vector(), (count, 1))
+            points = list(starts)
+            self.current = np.array([q.vector() for q in points])
         self.f = self._values(points)
         self.normalizers = np.asarray(normalizers, dtype=np.float64)
         self.states = np.zeros((count, state_dim(p)))
         self.history = self.states.reshape(count, HISTORY_LEN, -1)
 
     def _values(self, points) -> np.ndarray:
-        return np.array([value.mean for value in self._stack(points)])
+        values = self._meter([(obj, [q]) for obj, q in zip(self.objs, points)])
+        return np.array([value.mean for value, in values])
 
     def step(self, actions) -> np.ndarray:
         """Move each walk by its row of `actions`, bounded parameter steps
@@ -390,28 +388,42 @@ def train(train_suite, p: int, cfg: PpoConfig, seed: int):
 def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
                 start: QaoaParams | None = None) -> OptResult:
     """Mean-policy walk for half the budget, Nelder-Mead for the rest."""
-    p = bundle.depth
-    if obj.depth != p:
-        raise DomainError(f"bundle depth {p} != objective depth {obj.depth}")
-    budget = obj.remaining
+    return rl_optimize_all([obj], bundle, [seed],
+                           None if start is None else [start])[0]
+
+
+def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
+                    starts=None) -> list[OptResult]:
+    """`rl_optimize` on each objs[k] with seeds[k] (and starts[k]), in
+    lockstep: one `Walk`, with one one-row actor forward per run and step,
+    then one `objective.lockstep` of Nelder-Mead runs.  The objectives
+    need equal budgets, so the walks end together."""
+    p, budget = bundle.depth, objs[0].remaining
+    for obj in objs:
+        if obj.depth != p:
+            raise DomainError(f"bundle depth {p} != objective depth "
+                              f"{obj.depth}")
+        if obj.remaining != budget:
+            raise DomainError("lockstep runs need equal budgets")
     if budget < 4 * p + 4:
         raise DomainError(
             f"rl_optimize needs a budget of at least {4 * p + 4}, "
             f"got {budget}")
-    normalizer = 1.0
-    if obj.graph is not None:
-        # a-priori constant like in training; not counted against the budget
-        normalizer = reward_normalizer(obj.graph, p,
-                                       seed=derive_seed(seed, "norm"))
-    trace_base = len(obj.trace)
-    half = budget // 2
-    walk = Walk([obj], [seed], [normalizer], start)
-    for _ in range(half - 1):
-        walk.step(np.clip(bundle.actor(walk.states), -ACTION_BOUND,
-                          ACTION_BOUND))
-    phase1 = result_from_trace(obj.trace[trace_base:])
-    simplex_search(obj, phase1.best_params)
-    return obj.result(since=trace_base)
+    # a-priori constants like in training; not counted against the budget
+    normalizers = [
+        1.0 if obj.graph is None else reward_normalizer(
+            obj.graph, p, seed=derive_seed(seed, "norm"))
+        for obj, seed in zip(objs, seeds)]
+    since = [len(obj.trace) for obj in objs]
+    walk = Walk(objs, seeds, normalizers, starts)
+    for _ in range(budget // 2 - 1):
+        walk.step(np.clip(np.concatenate([
+            bundle.actor(state) for state in walk.states[:, None]]),
+            -ACTION_BOUND, ACTION_BOUND))
+    lockstep(objs, [
+        simplex_steps(result_from_trace(obj.trace[k:]).best_params.vector(),
+                      obj.remaining) for obj, k in zip(objs, since)])
+    return [obj.result(since=k) for obj, k in zip(objs, since)]
 
 
 def save_policy(bundle: PolicyBundle, path) -> None:

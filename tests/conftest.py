@@ -18,6 +18,7 @@ import pytest
 from qaoabench.engine import QaoaParams, landscape_grid
 from qaoabench.errors import DomainError
 from qaoabench.graphs import Graph
+from qaoabench.kde import sample_vectors
 
 
 def cuts_py(n, edges):
@@ -47,6 +48,15 @@ def full_state(half):
     the top bit clear, normalised to 1): amplitude z equals that of its
     complement, which sits at the mirrored index."""
     return np.concatenate([half, half[::-1]]) / math.sqrt(2.0)
+
+
+def level_probs(g, half):
+    """Probability of each cut level 0..m in the half state `half`: the
+    law of one measurement's cut size, summed as `engine.energy` sums it
+    for a sampled energy (one slice of `kernels.SLICE` entries up to
+    n = 15)."""
+    return np.bincount(g.cuts, weights=half.real**2 + half.imag**2,
+                       minlength=g.num_edges + 1)
 
 
 def dense_reference(n, edges, betas, gammas):
@@ -127,6 +137,11 @@ def grid_oracle_best(g, resolution):
     i, j = divmod(flat, resolution)
     return (QaoaParams([grid.betas[i]], [grid.gammas[j]]),
             float(grid.mean[i, j]))
+
+
+def kde_sample(model, m, seed):
+    """`m` mixture draws of `model` as QaoaParams."""
+    return QaoaParams.rows(sample_vectors(model, m, seed))
 
 
 def kde_density(model, x) -> float:

@@ -19,7 +19,7 @@ from qaoabench.engine import GraphStack, QaoaParams, energy, evolve
 from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.kde import kde_fit, kde_optimize
-from qaoabench.objective import MeteredObjective, ObjectiveStack
+from qaoabench.objective import Meter, MeteredObjective
 from qaoabench.rl import ACTION_BOUND, Walk
 from qaoabench.seeding import stream_rng
 
@@ -170,6 +170,13 @@ def test_stacked_energy_equals_single_energies_bit_for_bit():
         frames = evolve(stack, points)
         for row, g, q in zip(frames, graphs, points):
             np.testing.assert_array_equal(row, evolve(g, q))
+        # the points of one graph share its row of a stack
+        rows = [0, 2, 2, 1, 0]
+        shared = GraphStack(graphs[:3]).on(rows)
+        assert [ev.mean for ev in energy(shared, points)] == [
+            energy(graphs[r], q).mean for r, q in zip(rows, points)]
+        for row, r, q in zip(evolve(shared, points), rows, points):
+            np.testing.assert_array_equal(row, evolve(graphs[r], q))
 
 
 def test_graph_stacks_refuse_mixed_n_and_other_counts():
@@ -284,11 +291,11 @@ def test_stacked_step_over_one_budget_charges_nothing(monkeypatch):
     np.testing.assert_array_equal(walk.f, f)
 
 
-def test_objective_stacks_take_each_objective_once():
+def test_requests_take_each_objective_once():
     obj = MeteredObjective.for_graph(gen_ladder(2), depth=1, budget=4)
+    q = QaoaParams([0.1], [0.2])
     with pytest.raises(DomainError):
-        ObjectiveStack([obj, obj])
-    stack = ObjectiveStack([obj])
+        Walk([obj, obj], [1, 2], [1.0, 1.0])
     with pytest.raises(DomainError):
-        stack([])
+        Meter([obj])([(obj, [q]), (obj, [q])])
     assert obj.calls == 0

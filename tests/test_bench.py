@@ -110,12 +110,22 @@ def test_roster_subset_invariance(tiny_suite, small_records):
     assert nm_only == [r for r in small_records if r.optimizer == "nm"]
 
 
-def test_run_bench_threads_match_serial(tiny_suite):
-    cfg = BenchConfig(depths=(1,), budget=8, attempts=2, shots=256,
-                      roster=("random",), seed=1)
-    serial = run_bench(tiny_suite[:1], ("random",), cfg, threads=1)
-    pooled = run_bench(tiny_suite[:1], ("random",), cfg, threads=2)
-    assert serial == pooled
+def test_run_bench_threads_match_serial(test_set):
+    # three instances at n = 6 and one at n = 4, so the pool splits the
+    # lockstep groups and both workers get cells of one group
+    by_id = {instance_id(spec): (spec, g) for spec, g in test_set}
+    items = [by_id[i] for i in ("L-n2", "B-n3", "C-2x3", "L-n3")]
+    roster = ("random", "nm", "kde", "rl")
+    models = {"kde": {1: kde_fit([QaoaParams([0.4], [1.5]),
+                                  QaoaParams([0.35], [1.2])])},
+              "rl": {1: init_policy(1, seed=3)}}
+    for shots in (None, 1024):
+        cfg = BenchConfig(depths=(1,), budget=24, attempts=2, shots=shots,
+                          roster=roster, seed=1)
+        serial = run_bench(items, roster, cfg, models, threads=1)
+        pooled = run_bench(items, roster, cfg, models, threads=2)
+        assert len(serial) == 4 * 4 * 2
+        assert serial == pooled
 
 
 def test_learned_roster_needs_models(tiny_suite):

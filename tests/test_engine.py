@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
-                      dense_reference, full_state, random_graph,
+                      dense_reference, full_state, level_probs, random_graph,
                       statevector_reference)
 from qaoabench.engine import (
     EnergyValue,
@@ -18,7 +18,6 @@ from qaoabench.engine import (
     evolve,
     expectation_sampled,
     landscape_grid,
-    level_probs,
     wrap_angles,
 )
 from qaoabench.errors import DomainError, ResourceLimitError

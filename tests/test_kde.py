@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import grid_oracle_best, kde_density
+from conftest import grid_oracle_best, kde_density, kde_sample
 from qaoabench.baselines import multistart_collect
 from qaoabench.engine import QaoaParams
 from qaoabench.errors import DomainError
@@ -17,7 +17,6 @@ from qaoabench.kde import (
     kde_fit,
     kde_load,
     kde_optimize,
-    kde_sample,
     kde_save,
     sample_vectors,
     scott_bandwidth,

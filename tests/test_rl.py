@@ -100,7 +100,8 @@ def test_state_dim():
 
 def one_walk(obj, seed=0, normalizer=1.0, start=None):
     """The landscape environment: a one-row Walk."""
-    return Walk([obj], [seed], [normalizer], start)
+    return Walk([obj], [seed], [normalizer],
+                None if start is None else [start])
 
 
 def test_env_reset_shape_and_cost():

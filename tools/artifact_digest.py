@@ -4,7 +4,9 @@ Runs gen, build-sstar, build-kde, train-rl at p = 1 and p = 2, a sampled
 and an exact landscape, a sampled bench, an exact bench and a report of
 the sampled bench's records through `qaoabench.cli.main` into a
 temporary directory, then prints one sha256 per artifact and a combined
-digest over all of them.
+digest over all of them.  The sampled bench runs a second time with
+`--threads 2`, outside the digested tree; the script exits non-zero if
+its `records.csv` differs from the serial run's.
 `manifest.json` files are left out: they name their input paths, which
 differ between checkouts.  A refactor that is meant to change no result
 must print the same combined digest before and after.  The last line,
@@ -29,10 +31,12 @@ sys.path.insert(0, str(SRC))
 from qaoabench.cli import main  # noqa: E402
 
 
+BENCH_SIZE = ["--max-n", "8", "--attempts", "2", "--budget", "48"]
+
+
 def pipeline(root: Path):
     """The CLI argument lists, in run order."""
     sstar, models, policy = root / "sstar", root / "models", root / "policy"
-    bench_size = ["--max-n", "8", "--attempts", "2", "--budget", "48"]
     return [
         ["gen", "--suite", "test", "--out", str(root / "gen")],
         ["build-sstar", "--p", "1,2", "--starts", "5", "--out", str(sstar)],
@@ -47,17 +51,31 @@ def pipeline(root: Path):
          "--out", str(root / "landscape")],
         ["landscape", "--exact", "--instance", "L-n3", "--resolution", "16",
          "--out", str(root / "landscape-exact")],
-        ["bench", "--p", "1", *bench_size,
-         "--kde", str(models / "kde-p1.json"),
-         "--policy", str(policy / "policy-p1.json"),
-         "--out", str(root / "bench-sampled")],
+        sampled_bench(root, root / "bench-sampled"),
         ["bench", "--exact", "--p", "1,2", "--roster", "random,nm,kde",
-         *bench_size, "--kde", str(models / "kde-p1.json"),
+         *BENCH_SIZE, "--kde", str(models / "kde-p1.json"),
          "--kde", str(models / "kde-p2.json"),
          "--out", str(root / "bench-exact")],
         ["report", "--records", str(root / "bench-sampled" / "records.csv"),
          "--out", str(root / "report")],
     ]
+
+
+def sampled_bench(root: Path, out: Path, extra=()):
+    """The sampled bench stage's arguments, writing to `out`."""
+    return ["bench", "--p", "1", *BENCH_SIZE,
+            "--kde", str(root / "models" / "kde-p1.json"),
+            "--policy", str(root / "policy" / "policy-p1.json"),
+            *extra, "--out", str(out)]
+
+
+def _run(argv) -> int:
+    # the stages report progress on stdout; keep stdout for digests
+    with contextlib.redirect_stdout(sys.stderr):
+        status = main(argv)
+    if status:
+        print(f"stage {argv[0]} failed", file=sys.stderr)
+    return status
 
 
 def sha256_file(path: Path) -> str:
@@ -66,13 +84,10 @@ def sha256_file(path: Path) -> str:
 
 def main_digest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
+        root = Path(tmp) / "run"
         for argv in pipeline(root):
-            # the stages report progress on stdout; keep stdout for digests
-            with contextlib.redirect_stdout(sys.stderr):
-                status = main(argv)
+            status = _run(argv)
             if status:
-                print(f"stage {argv[0]} failed", file=sys.stderr)
                 return status
         combined = hashlib.sha256()
         for path in sorted(root.rglob("*")):
@@ -83,6 +98,14 @@ def main_digest() -> int:
             combined.update(f"{rel} {digest}\n".encode())
             print(f"{digest}  {rel}")
         print(f"combined {combined.hexdigest()}")
+        pooled = Path(tmp) / "threads"
+        if _run(sampled_bench(root, pooled, ["--threads", "2"])):
+            return 1
+        if (pooled / "records.csv").read_bytes() != (
+                root / "bench-sampled" / "records.csv").read_bytes():
+            print("bench --threads 2 records differ from the serial run's",
+                  file=sys.stderr)
+            return 1
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (SRC / "qaoabench").glob("*.py"))
     print(f"src_lines {lines}")
