@@ -52,15 +52,15 @@ class Mlp:
     def buffers(self, rows: int) -> "Buffers":
         """Work buffers for batched passes over `rows` inputs."""
         widths = self.sizes[1:-1]
-        return Buffers(*([np.empty((rows, w)) for w in widths]
-                         for _ in range(3)))
+        return Buffers([np.empty((rows, w)) for w in widths],
+                       np.empty(rows * max(widths, default=0)))
 
     def forward(self, x: np.ndarray, buffers: "Buffers | None" = None):
         """Returns (output, cache), the cache being the (B, width) layer
         activations, input first; accepts (D,) or (B, D) inputs.  With
         `buffers` the hidden activations are written there, so the cache
-        holds only until the next forward with the same buffers; the
-        output is always a fresh array."""
+        holds only until the next pass with the same buffers; the output
+        is always a fresh array."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x.reshape(1, -1) if squeeze else x
@@ -90,18 +90,18 @@ class Mlp:
                  buffers: "Buffers | None" = None) -> list:
         """Gradients of sum(dout * output) w.r.t. every parameter, ordered
         like parameters(), for a (B, n_out) dout and a batched forward's
-        cache.  No input gradient is computed.  With `buffers` the hidden
-        layers' temporaries are written there."""
+        cache.  No input gradient is computed.  With `buffers` the pass
+        consumes the cache: each hidden activation is overwritten, once
+        spent, by the gradient at that layer, and the gradients flowing
+        into the layers go through the scratch buffer."""
         g = np.asarray(dout, dtype=np.float64)
         grads = [None] * (2 * len(self.weights))
         last = len(self.weights) - 1
-        temps, douts = (([None] * last,) * 2 if buffers is None
-                        else (buffers.temps, buffers.dacts))
         for k in range(last, -1, -1):
             h_out = cache[k + 1]
             if k < last:
                 # d tanh(z) = 1 - tanh^2
-                t = np.square(h_out, out=temps[k])
+                t = np.square(h_out, out=None if buffers is None else h_out)
                 np.subtract(1.0, t, out=t)
                 g = np.multiply(g, t, out=t)
             elif self.head == "scaled_tanh":
@@ -110,19 +110,21 @@ class Mlp:
             grads[2 * k] = cache[k].T @ g
             grads[2 * k + 1] = g.sum(axis=0)
             if k:
-                g = np.matmul(g, self.weights[k].T, out=douts[k - 1])
+                rows, width = len(g), self.weights[k].shape[0]
+                out = (None if buffers is None else
+                       buffers.scratch[:rows * width].reshape(rows, width))
+                g = np.matmul(g, self.weights[k].T, out=out)
         return grads
 
 
 class Buffers(NamedTuple):
-    """(rows, width) arrays, one per hidden layer in each list, that a
-    loop of batched passes reuses instead of asking the allocator for
-    fresh ones each time: the activations, the gradients with respect to
-    them, and one temporary."""
+    """Arrays that a loop of batched passes reuses instead of asking the
+    allocator for fresh ones each time: one (rows, width) activation per
+    hidden layer, and one flat scratch of rows x the widest hidden layer
+    for the gradients a backward pass sends down."""
 
     acts: list
-    dacts: list
-    temps: list
+    scratch: np.ndarray
 
 
 def init_mlp(sizes, head: str, scale: float, rng) -> Mlp:

@@ -8,7 +8,9 @@ off) spends half the budget walking the landscape and Nelder-Mead polishes
 the best point found with the other half.
 """
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,6 +300,16 @@ def _mean_kl(old_means, new_means, variance: float) -> float:
     return float(np.mean(sq) / (2.0 * variance))
 
 
+def _fit_critic(critic: Mlp, states, returns, cfg: PpoConfig) -> float:
+    """Fit `critic` to `returns` for cfg.max_passes; returns the last loss."""
+    buffers = critic.buffers(len(states))
+    opt = Adam(critic.parameters(), cfg.critic_lr)
+    for _ in range(cfg.max_passes):
+        loss, grads = _critic_loss_grads(critic, states, returns, buffers)
+        opt.step(grads)
+    return loss
+
+
 def ppo_update(bundle: PolicyBundle, traj: Trajectory, cfg: PpoConfig):
     """One policy improvement step; returns (new bundle, diagnostics).
 
@@ -306,9 +318,14 @@ def ppo_update(bundle: PolicyBundle, traj: Trajectory, cfg: PpoConfig):
     training never continues from an already over-threshold policy.  One
     actor forward serves each check and the pass after it, so an update
     makes actor_passes + 1 actor and cfg.max_passes critic forwards.
-    Each net's passes write their batch activations and temporaries into
-    one set of buffers per update (`Mlp.buffers`), so how fast they run
-    does not hang on where the allocator puts fresh arrays.
+
+    The critic fits on a worker thread while the actor trains on this one;
+    the fits share only read-only inputs, so the bits are a serial
+    update's.  The worker runs in a copy of the caller's context (so an
+    `np.errstate` holds there too) and is joined before this returns or
+    raises.  Each net's passes reuse one set of buffers per update
+    (`Mlp.buffers`), so their speed does not hang on where the allocator
+    puts fresh arrays.
     """
     if not traj.rewards.size:
         raise DomainError("ppo_update needs a non-empty batch")
@@ -321,30 +338,26 @@ def ppo_update(bundle: PolicyBundle, traj: Trajectory, cfg: PpoConfig):
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
     new = bundle.copy()
-    buffers = new.actor.buffers(len(states))
-    # a forward's output is never one of the buffers, so later forwards
-    # leave old_means as it is
-    means, cache = new.actor.forward(states, buffers)
-    old_means = means
-    opt_actor = Adam(new.actor.parameters(), cfg.actor_lr)
-    # the check before the first pass reads KL 0, so the first pass runs
-    for passes in range(1, cfg.max_passes + 1):
-        actor_loss, grads, clip_fraction = _actor_loss_grads(
-            new.actor, means, cache, actions, logp_old, adv, cfg.clip,
-            bundle.noise_variance, buffers)
-        opt_actor.step(grads)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        critic_fit = pool.submit(contextvars.copy_context().run, _fit_critic,
+                                 new.critic, states, returns, cfg)
+        buffers = new.actor.buffers(len(states))
+        # a forward's output is never one of the buffers, so later forwards
+        # leave old_means as it is
         means, cache = new.actor.forward(states, buffers)
-        kl = _mean_kl(old_means, means, bundle.noise_variance)
-        if kl > cfg.kl_stop:
-            break
-    del cache, buffers   # one set of buffers alive at a time
-
-    buffers = new.critic.buffers(len(states))
-    opt_critic = Adam(new.critic.parameters(), cfg.critic_lr)
-    for _ in range(cfg.max_passes):
-        critic_loss, grads = _critic_loss_grads(new.critic, states, returns,
-                                                buffers)
-        opt_critic.step(grads)
+        old_means = means
+        opt_actor = Adam(new.actor.parameters(), cfg.actor_lr)
+        # the check before the first pass reads KL 0, so the first pass runs
+        for passes in range(1, cfg.max_passes + 1):
+            actor_loss, grads, clip_fraction = _actor_loss_grads(
+                new.actor, means, cache, actions, logp_old, adv, cfg.clip,
+                bundle.noise_variance, buffers)
+            opt_actor.step(grads)
+            means, cache = new.actor.forward(states, buffers)
+            kl = _mean_kl(old_means, means, bundle.noise_variance)
+            if kl > cfg.kl_stop:
+                break
+        critic_loss = critic_fit.result()
 
     diagnostics = {
         "kl": kl,

@@ -85,22 +85,25 @@ def test_backward_matches_finite_differences(head):
 
 @pytest.mark.parametrize("head", ["linear", "scaled_tanh"])
 def test_buffers_change_no_bit(head):
-    net = make_net(head)
+    net = make_net(head, sizes=(5, 8, 7, 3))   # unequal hidden widths
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 5))
     dout = rng.normal(size=(6, 3))
     want_out, want_cache = net.forward(x)
     want_grads = net.backward(want_cache, dout)
     buffers = net.buffers(6)
+    # one activation per hidden layer and one flat scratch of the widest
+    assert [a.shape for a in buffers.acts] == [(6, 8), (6, 7)]
+    assert buffers.scratch.shape == (6 * 8,)
     for _ in range(2):   # a second pass reuses the same memory
         out, cache = net.forward(x, buffers)
-        grads = net.backward(cache, dout, buffers)
-        np.testing.assert_array_equal(out, want_out)
         for a, b in zip(cache, want_cache):
             np.testing.assert_array_equal(a, b)
+        assert cache[1] is buffers.acts[0] and cache[2] is buffers.acts[1]
+        grads = net.backward(cache, dout, buffers)
+        np.testing.assert_array_equal(out, want_out)
         for a, b in zip(grads, want_grads):
             np.testing.assert_array_equal(a, b)
-    assert cache[1] is buffers.acts[0] and cache[2] is buffers.acts[1]
     # the output is fresh, so a later forward leaves it as it was
     kept = out.copy()
     net.forward(-x, buffers)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qaoabench.rl import (
     Trajectory,
     Walk,
     _actor_loss_grads,
+    _critic_loss_grads,
     _mean_kl,
     collect_episode,
     discounted_returns,
@@ -449,6 +451,98 @@ def test_ppo_improves_critic_fit():
     assert 0.0 <= diag["critic_loss"] < before  # loss at the last pass
 
 
+def serial_ppo_update(bundle, traj, cfg):
+    """ppo_update's actor loop, then its critic loop, on the calling thread
+    and without work buffers."""
+    rows = traj.rewards.size
+    states = traj.states.reshape(rows, -1)
+    actions = traj.actions.reshape(rows, -1)
+    logp_old = traj.logps.reshape(rows)
+    adv = gae_advantages(traj, cfg.discount, cfg.gae_lambda).reshape(rows)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    returns = discounted_returns(traj, cfg.discount).reshape(rows)
+    new, variance = bundle.copy(), bundle.noise_variance
+    means, cache = new.actor.forward(states)
+    old_means = means
+    opt = Adam(new.actor.parameters(), cfg.actor_lr)
+    for passes in range(1, cfg.max_passes + 1):
+        actor_loss, grads, clip_fraction = _actor_loss_grads(
+            new.actor, means, cache, actions, logp_old, adv, cfg.clip,
+            variance)
+        opt.step(grads)
+        means, cache = new.actor.forward(states)
+        kl = _mean_kl(old_means, means, variance)
+        if kl > cfg.kl_stop:
+            break
+    opt = Adam(new.critic.parameters(), cfg.critic_lr)
+    for _ in range(cfg.max_passes):
+        critic_loss, grads = _critic_loss_grads(new.critic, states, returns,
+                                                None)
+        opt.step(grads)
+    return new, {"kl": kl, "clip_fraction": clip_fraction,
+                 "actor_passes": passes, "actor_loss": actor_loss,
+                 "critic_loss": critic_loss}
+
+
+@pytest.mark.parametrize("p,actor_lr,max_passes,stops_on_kl",
+                         [(1, 3e-4, 6, False), (2, 3e-4, 6, False),
+                          (1, 2e-3, 80, True)])
+def test_ppo_update_matches_serial_reference(p, actor_lr, max_passes,
+                                             stops_on_kl):
+    bundle = init_policy(p, seed=8)
+    traj = collect_episode([K2, gen_ladder(2)] * 4, bundle,
+                           list(range(40, 48)), [0.5] * 8, 16)
+    cfg = PpoConfig(actor_lr=actor_lr, max_passes=max_passes, epochs=1,
+                    episodes_per_epoch=1)
+    new, diag = ppo_update(bundle, traj, cfg)
+    want, want_diag = serial_ppo_update(bundle, traj, cfg)
+    assert (diag["actor_passes"] < max_passes) == stops_on_kl
+    assert diag == want_diag
+    for net, ref in ((new.actor, want.actor), (new.critic, want.critic)):
+        for a, b in zip(net.parameters(), ref.parameters()):
+            assert a.tobytes() == b.tobytes()
+
+
+class FitError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("loop", ["_actor_loss_grads", "_critic_loss_grads"])
+def test_ppo_update_error_in_either_fit_joins_the_worker(monkeypatch, loop):
+    bundle = init_policy(1, seed=9)
+    traj = episodes(bundle, 16, 4)
+    cfg = PpoConfig(max_passes=5, epochs=1, episodes_per_epoch=1)
+
+    def fail(*args):
+        raise FitError(loop)
+
+    monkeypatch.setattr(f"qaoabench.rl.{loop}", fail)
+    threads = threading.active_count()
+    with pytest.raises(FitError, match=loop):
+        ppo_update(bundle, traj, cfg)
+    assert threading.active_count() == threads
+
+
+def test_ppo_update_critic_sees_the_callers_error_settings(monkeypatch):
+    bundle = init_policy(1, seed=10)
+    traj = episodes(bundle, 16, 4)
+    cfg = PpoConfig(max_passes=3, epochs=1, episodes_per_epoch=1)
+    seen = []
+
+    def recording(*args):
+        seen.append((threading.current_thread(), np.geterr()["over"]))
+        return _critic_loss_grads(*args)
+
+    monkeypatch.setattr("qaoabench.rl._critic_loss_grads", recording)
+    threads = threading.active_count()
+    with np.errstate(over="raise"):
+        ppo_update(bundle, traj, cfg)
+    assert len(seen) == cfg.max_passes
+    assert all(thread is not threading.main_thread() and over == "raise"
+               for thread, over in seen)
+    assert threading.active_count() == threads
+
+
 def test_bandit_converges_to_clamped_optimum():
     opt = clamped_bandit_optimum()
     mean = bandit_tail_mean(seed=0)
@@ -461,9 +555,14 @@ def test_train_deterministic_curve():
     suite = [(None, K2), (None, gen_ladder(2))]
     cfg = PpoConfig(epochs=2, episodes_per_epoch=4, episode_len=6,
                     probe_count=20, max_passes=10)
-    _, curve_a = train(suite, p=1, cfg=cfg, seed=21)
-    _, curve_b = train(suite, p=1, cfg=cfg, seed=21)
-    np.testing.assert_array_equal(curve_a, curve_b)
+    threads = threading.active_count()
+    bundle_a, curve_a = train(suite, p=1, cfg=cfg, seed=21)
+    bundle_b, curve_b = train(suite, p=1, cfg=cfg, seed=21)
+    assert threading.active_count() == threads
+    assert curve_a.tobytes() == curve_b.tobytes()
+    for a, b in zip(bundle_a.actor.parameters() + bundle_a.critic.parameters(),
+                    bundle_b.actor.parameters() + bundle_b.critic.parameters()):
+        assert a.tobytes() == b.tobytes()
     assert curve_a.shape == (2,)
     _, curve_c = train(suite, p=1, cfg=cfg, seed=22)
     assert not np.array_equal(curve_a, curve_c)
