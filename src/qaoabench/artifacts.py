@@ -6,7 +6,8 @@ a `# <schema>` line, then a header row and the data rows.  No artifact
 embeds a timestamp, so the same inputs give the same bytes.  Readers check
 the schema id before anything else and turn a malformed or wrong-kind file
 into a ConfigError naming it.  Each output directory also gets a
-`manifest.json` with the resolved configuration and content hashes.
+`manifest.json` with the resolved configuration, the random-stream
+version and content hashes.
 """
 
 import csv
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
+from .seeding import STREAM_VERSION
 
 MANIFEST_SCHEMA = "qaoabench-manifest-v1"
 SUITE_SCHEMA = "qaoabench-suite-v1"
@@ -102,9 +104,11 @@ def _sha256(path) -> str:
 def write_manifest(out_dir, command: str, config: dict, inputs,
                    outputs) -> Path:
     """`manifest.json` in `out_dir`: the command, its resolved configuration,
-    and the sha256 of every input (by path) and output (by file name)."""
+    the random-stream derivation version, and the sha256 of every input (by
+    path) and output (by file name)."""
     return write_json(Path(out_dir) / "manifest.json", MANIFEST_SCHEMA, {
         "version": __version__,
+        "stream_version": STREAM_VERSION,
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},

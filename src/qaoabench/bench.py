@@ -210,17 +210,16 @@ def gap_reduction(tau: dict) -> dict:
     Needs nelder-mead medians in `tau`; a method that exactly matches the
     baseline scores 1, and a method reaching tau = 1 scores infinity.
     """
-    keys = sorted({(g, d) for (g, d, o) in tau})
+    groups = {}
+    for (g, d, o), t in tau.items():
+        groups.setdefault((g, d), {})[o] = t
     out = {}
-    for g, d in keys:
-        if ("nm" not in {o for (gg, dd, o) in tau if (gg, dd) == (g, d)}):
+    for (g, d), ratios in sorted(groups.items()):
+        if "nm" not in ratios:
             raise DomainError(f"gap reduction needs nelder-mead ratios for "
                               f"group={g!r} p={d}")
-        base = tau[(g, d, "nm")]
-        for (gg, dd, o) in tau:
-            if (gg, dd) != (g, d) or o == "nm":
-                continue
-            t = tau[(g, d, o)]
+        base = ratios.pop("nm")
+        for o, t in ratios.items():
             if t == base:
                 out[(g, d, o)] = 1.0
             elif t >= 1.0:

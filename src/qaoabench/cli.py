@@ -5,11 +5,20 @@ stage can be re-run in isolation and still agree with a full pipeline run.
 Every output directory gets a manifest with the resolved configuration and
 content hashes; no artifact embeds a timestamp (artifacts.py holds the file
 convention), making runs hash-identical per seed.
+
+One table, `OPTIONS`, declares every setting: its config key, caster,
+least value and default per command.  Its flag is `--<key>` with `_` as
+`-` (`max_n` is `--max-n`), save `depths`, whose flag is `--p`.  The table
+builds the flags, checks config lines (`load_config`) and resolves each
+option from its flag, else the config file, else the default (`resolve`).
+A flag and its key share one cast and check, so a bad value exits 1 with
+the same `error:` text from either.
 """
 
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
     SUITE_SCHEMA, read_json, write_csv, write_json, write_manifest
@@ -25,14 +34,86 @@ from .seeding import derive_seed
 
 VALID_DEPTHS = (1, 2, 4)
 
-# key-value config file schema: every key has a caster and a sanity check
-CONFIG_KEYS = {
-    "seed": int, "budget": int, "attempts": int, "shots": int,
-    "starts": int, "epochs": int, "episodes": int, "steps": int,
-    "resolution": int, "threads": int, "max_n": int, "probe": int,
-    "bandwidth": float, "depths": str, "roster": str, "suite": str,
+
+def _depths(text: str) -> str:
+    """Comma-separated depths, each one of VALID_DEPTHS."""
+    items = [t.strip() for t in text.split(",")]
+    if not all(t.isdecimal() and int(t) in VALID_DEPTHS for t in items):
+        raise ValueError(f"depths must be comma-separated values of "
+                         f"{VALID_DEPTHS}, got {text!r}")
+    return ",".join(str(int(t)) for t in items)
+
+
+def _roster(text: str) -> str:
+    """Comma-separated optimizers of ROSTER, `nm` among them."""
+    out = [t.strip() for t in text.split(",") if t.strip()]
+    bad = [o for o in out if o not in ROSTER]
+    if bad:
+        raise ValueError(f"unknown optimizers {bad}; roster is {ROSTER}")
+    if "nm" not in out:
+        raise ValueError(f"roster {out} has no 'nm', the baseline every "
+                         f"gap reduction is measured against")
+    return ",".join(out)
+
+
+def _suite(text: str) -> str:
+    if text not in ("train", "test"):
+        raise ValueError(f"suite must be 'train' or 'test', got {text!r}")
+    return text
+
+
+class Option(NamedTuple):
+    cast: Callable        # flag or config text -> value; ValueError if bad
+    least: int | None     # the least value an int option takes
+    defaults: dict        # command -> default, for each command taking it
+    help: str | None = None
+
+
+COMMANDS = ("gen", "landscape", "build-sstar", "build-kde", "train-rl",
+            "bench", "report")
+
+OPTIONS = {
+    "seed": Option(int, 0, dict.fromkeys(COMMANDS, 0)),
+    "suite": Option(_suite, None, {"gen": "test", "build-sstar": "train",
+                                   "train-rl": "train", "bench": "test"}),
+    "depths": Option(_depths, None, {"build-sstar": "1,2,4", "train-rl": "1",
+                                     "bench": "1,2,4"},
+                     "comma-separated depths"),
+    "shots": Option(int, 1, {"landscape": 1024, "bench": 1024}),
+    "resolution": Option(int, 2, {"landscape": 64}),
+    "starts": Option(int, 1, {"build-sstar": 1000}),
+    # kde_fit refuses a bandwidth <= 0
+    "bandwidth": Option(float, None, {"build-kde": None}),
+    "epochs": Option(int, 1, {"train-rl": 50}),
+    "episodes": Option(int, 1, {"train-rl": 16}),
+    "steps": Option(int, 1, {"train-rl": 64}),
+    "probe": Option(int, 1, {"train-rl": 500},
+                    "normalizer evals per instance; used only at p > 1"),
+    "roster": Option(_roster, None, {"bench": "random,nm,kde,rl"}),
+    "budget": Option(int, 1, {"bench": 192}),
+    "attempts": Option(int, 1, {"bench": 10}),
+    "max_n": Option(int, 1, {"bench": None}),
+    "threads": Option(int, 1, {"bench": 1}),
 }
-_NONNEG = ("seed",)
+
+
+def _flag(key: str) -> str:
+    return "--p" if key == "depths" else "--" + key.replace("_", "-")
+
+
+def _cast(key: str, text: str):
+    """Option `key`'s value for `text`; a ValueError says what is wrong."""
+    cast, least = OPTIONS[key][:2]
+    try:
+        value = cast(text)
+    except ValueError:
+        if cast in (int, float):
+            raise ValueError(f"{key} expects {cast.__name__}, "
+                             f"got {text!r}") from None
+        raise
+    if least is not None and value < least:
+        raise ValueError(f"{key} must be >= {least}")
+    return value
 
 
 def load_config(path) -> dict:
@@ -43,125 +124,94 @@ def load_config(path) -> dict:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, text = (t.strip() for t in line.partition("="))
+            if not eq:
                 problems.append(f"line {lineno}: expected key=value")
-                continue
-            key, _, text = (t.strip() for t in line.partition("="))
-            if key not in CONFIG_KEYS:
+            elif key not in OPTIONS:
                 problems.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            try:
-                value = CONFIG_KEYS[key](text)
-            except ValueError:
-                problems.append(f"line {lineno}: {key} expects "
-                                f"{CONFIG_KEYS[key].__name__}, got {text!r}")
-                continue
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                low = 0 if key in _NONNEG else 1
-                if value < low:
-                    problems.append(f"line {lineno}: {key} must be >= {low}")
-                    continue
-            values[key] = value
+            else:
+                try:
+                    values[key] = _cast(key, text)
+                except ValueError as exc:
+                    problems.append(f"line {lineno}: {exc}")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
     return values
 
 
-def _resolve(args, config, key, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
+def resolve(args, config: dict) -> argparse.Namespace:
+    """`args` with each option of its command set from the flag, else the
+    config file, else the command's default; bad flags all reported."""
+    opts, problems = vars(args).copy(), []
+    for key, option in OPTIONS.items():
+        if args.command not in option.defaults:
+            continue
+        if opts[key] is None:
+            opts[key] = config.get(key, option.defaults[args.command])
+            continue
+        try:
+            opts[key] = _cast(key, opts[key])
+        except ValueError as exc:
+            problems.append(f"{_flag(key)}: {exc}")
+    if problems:
+        raise ConfigError("invalid flags: " + "; ".join(problems))
+    if opts.get("exact"):
+        opts["shots"] = None
+    return argparse.Namespace(**opts)
 
 
-def _parse_depths(args, config, default: str) -> tuple:
-    """The depths of --p, else of the config's `depths`, else `default`."""
-    out = []
-    text = args.p if args.p is not None else config.get("depths", default)
-    for tok in str(text).split(","):
-        d = int(tok)
-        if d not in VALID_DEPTHS:
-            raise ConfigError(f"depth must be one of {VALID_DEPTHS}, got {d}")
-        out.append(d)
-    return tuple(out)
-
-
-def _parse_roster(text) -> tuple:
-    out = tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
-    bad = [o for o in out if o not in ROSTER]
-    if bad:
-        raise ConfigError(f"unknown optimizers {bad}; roster is {ROSTER}")
-    if "nm" not in out:
-        raise ConfigError(f"roster {list(out)} has no 'nm', the baseline "
-                          f"every gap reduction is measured against")
-    return out
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _shots_arg(args, config, default=1024):
-    if getattr(args, "exact", False):
-        return None
-    return _resolve(args, config, "shots", default)
+def _out_dir(o) -> Path:
+    o.out.mkdir(parents=True, exist_ok=True)
+    return o.out
 
 
 # ------------------------------------------------------------ subcommands
-# Each handler returns (resolved config, input paths, output paths) for the
-# manifest that `main` writes.
+# Each handler takes the resolved options and returns (resolved config,
+# input paths, output paths) for the manifest that `main` writes; its
+# docstring is the command's help.
 
-def cmd_gen(args, config) -> tuple:
-    name = _resolve(args, config, "suite", "test")
-    items = suite(name)
-    instances = []
-    for spec, g in items:
-        instances.append({
-            "id": instance_id(spec),
-            "class": spec.family,
-            "group": group_of(spec),
-            "params": dict(spec.params),
-            "seed": spec.seed,
-            "n": g.n,
-            "edges": [list(e) for e in g.edges],
-        })
-    path = write_json(_out_dir(args) / "suite.json", SUITE_SCHEMA,
-                      {"suite": name, "instances": instances})
+def cmd_gen(o) -> tuple:
+    """write a suite manifest"""
+    instances = [{
+        "id": instance_id(spec),
+        "class": spec.family,
+        "group": group_of(spec),
+        "params": dict(spec.params),
+        "seed": spec.seed,
+        "n": g.n,
+        "edges": [list(e) for e in g.edges],
+    } for spec, g in suite(o.suite)]
+    path = write_json(_out_dir(o) / "suite.json", SUITE_SCHEMA,
+                      {"suite": o.suite, "instances": instances})
     print(f"wrote {path} ({len(instances)} instances)")
-    return {"suite": name}, [], [path]
+    return {"suite": o.suite}, [], [path]
 
 
-def cmd_landscape(args, config) -> tuple:
-    seed = _resolve(args, config, "seed", 0)
-    resolution = _resolve(args, config, "resolution", 64)
-    shots = _shots_arg(args, config)
-    g = realize(spec_from_id(args.instance))
-    grid = landscape_grid(g, resolution, shots=shots,
-                          seed=derive_seed(seed, "landscape", args.instance))
-    path = write_csv(_out_dir(args) / "landscape.csv", LANDSCAPE_SCHEMA,
+def cmd_landscape(o) -> tuple:
+    """p=1 energy surface CSV"""
+    g = realize(spec_from_id(o.instance))
+    grid = landscape_grid(g, o.resolution, shots=o.shots,
+                          seed=derive_seed(o.seed, "landscape", o.instance))
+    path = write_csv(_out_dir(o) / "landscape.csv", LANDSCAPE_SCHEMA,
                      ["beta", "gamma", "mean", "stderr"],
                      ([repr(x) for x in row] for row in grid.rows()))
     print(f"wrote {path}")
-    return ({"instance": args.instance, "resolution": resolution,
-             "shots": shots, "seed": seed}, [], [path])
+    return ({"instance": o.instance, "resolution": o.resolution,
+             "shots": o.shots, "seed": o.seed}, [], [path])
 
 
-def cmd_build_sstar(args, config) -> tuple:
-    seed = _resolve(args, config, "seed", 0)
-    starts = _resolve(args, config, "starts", 1000)
-    depths = _parse_depths(args, config, "1,2,4")
-    suite_name = _resolve(args, config, "suite", "train")
-    items = suite(suite_name)
-    out = _out_dir(args)
+def cmd_build_sstar(o) -> tuple:
+    """multistart near-optimal sets"""
+    depths = tuple(map(int, o.depths.split(",")))
+    items = suite(o.suite)
+    out = _out_dir(o)
     paths = []
     for p in depths:
         entries = []
         for spec, g in items:
             iid = instance_id(spec)
             admitted = multistart_collect(
-                g, p, starts, derive_seed(seed, "sstar", iid, p))
+                g, p, o.starts, derive_seed(o.seed, "sstar", iid, p))
             if p == 1:
                 # the closed form scores every admitted point at once
                 best = float(max(energy_p1(
@@ -173,12 +223,12 @@ def cmd_build_sstar(args, config) -> tuple:
                             "admitted": [q.vector().tolist() for q in admitted],
                             "best_exact": best})
         path = write_json(out / f"sstar-p{p}.json", SSTAR_SCHEMA,
-                          {"p": p, "starts": starts, "entries": entries})
+                          {"p": p, "starts": o.starts, "entries": entries})
         paths.append(path)
         total = sum(len(e["admitted"]) for e in entries)
         print(f"wrote {path} ({total} admitted points)")
-    return ({"suite": suite_name, "p": list(depths), "starts": starts,
-             "seed": seed}, [], paths)
+    return ({"suite": o.suite, "p": list(depths), "starts": o.starts,
+             "seed": o.seed}, [], paths)
 
 
 def read_sstar(path) -> tuple:
@@ -188,13 +238,13 @@ def read_sstar(path) -> tuple:
         [vec for e in body["entries"] for vec in e["admitted"]]))
 
 
-def cmd_build_kde(args, config) -> tuple:
-    bandwidth = _resolve(args, config, "bandwidth", None)
-    out = _out_dir(args)
+def cmd_build_kde(o) -> tuple:
+    """fit density models on S* files"""
+    out = _out_dir(o)
     paths = []
-    for sstar_path in args.sstar:
+    for sstar_path in o.sstar:
         p, pooled = read_sstar(sstar_path)
-        model = kde_fit(pooled, "auto" if bandwidth is None else bandwidth)
+        model = kde_fit(pooled, "auto" if o.bandwidth is None else o.bandwidth)
         if model.depth != p:
             raise ConfigError(f"{sstar_path} claims p={p} but vectors have "
                               f"dimension {2 * model.depth}")
@@ -203,25 +253,21 @@ def cmd_build_kde(args, config) -> tuple:
         paths.append(path)
         print(f"wrote {path} (N={len(model.centers)}, "
               f"omega={model.bandwidth:.4f})")
-    return ({"bandwidth": bandwidth, "sstar": [str(s) for s in args.sstar]},
-            args.sstar, paths)
+    return ({"bandwidth": o.bandwidth, "sstar": [str(s) for s in o.sstar]},
+            o.sstar, paths)
 
 
-def cmd_train_rl(args, config) -> tuple:
-    seed = _resolve(args, config, "seed", 0)
-    depths = _parse_depths(args, config, "1")
+def cmd_train_rl(o) -> tuple:
+    """train the policy for one depth"""
+    depths = tuple(map(int, o.depths.split(",")))
     if len(depths) != 1:
         raise ConfigError(f"train-rl trains one depth, got {list(depths)}")
     p = depths[0]
-    cfg = PpoConfig(
-        epochs=_resolve(args, config, "epochs", 50),
-        episodes_per_epoch=_resolve(args, config, "episodes", 16),
-        episode_len=_resolve(args, config, "steps", 64),
-        probe_count=_resolve(args, config, "probe", 500))
-    suite_name = _resolve(args, config, "suite", "train")
-    items = suite(suite_name)
-    bundle, curve = train(items, p, cfg, derive_seed(seed, "train-rl", p))
-    out = _out_dir(args)
+    cfg = PpoConfig(epochs=o.epochs, episodes_per_epoch=o.episodes,
+                    episode_len=o.steps, probe_count=o.probe)
+    bundle, curve = train(suite(o.suite), p, cfg,
+                          derive_seed(o.seed, "train-rl", p))
+    out = _out_dir(o)
     policy_path = out / f"policy-p{p}.json"
     save_policy(bundle, policy_path)
     curve_path = write_csv(
@@ -230,147 +276,96 @@ def cmd_train_rl(args, config) -> tuple:
         ([epoch, repr(float(value))] for epoch, value in enumerate(curve)))
     print(f"wrote {policy_path} and {curve_path} "
           f"(curve {curve[0]:.4f} -> {curve[-1]:.4f})")
-    return ({"suite": suite_name, "p": p, "epochs": cfg.epochs,
-             "episodes": cfg.episodes_per_epoch, "steps": cfg.episode_len,
-             "probe": cfg.probe_count, "seed": seed},
-            [], [policy_path, curve_path])
+    return ({"suite": o.suite, "p": p, "epochs": o.epochs,
+             "episodes": o.episodes, "steps": o.steps, "probe": o.probe,
+             "seed": o.seed}, [], [policy_path, curve_path])
 
 
-def cmd_bench(args, config) -> tuple:
-    seed = _resolve(args, config, "seed", 0)
-    depths = _parse_depths(args, config, "1,2,4")
-    roster = _parse_roster(_resolve(args, config, "roster",
-                                    "random,nm,kde,rl"))
-    shots = _shots_arg(args, config)
-    cfg = BenchConfig(
-        depths=depths,
-        budget=_resolve(args, config, "budget", 192),
-        attempts=_resolve(args, config, "attempts", 10),
-        shots=shots,
-        roster=roster,
-        seed=derive_seed(seed, "bench"))
+def cmd_bench(o) -> tuple:
+    """run the optimizer comparison"""
+    depths = tuple(map(int, o.depths.split(",")))
+    roster = tuple(o.roster.split(","))
+    cfg = BenchConfig(depths=depths, budget=o.budget, attempts=o.attempts,
+                      shots=o.shots, roster=roster,
+                      seed=derive_seed(o.seed, "bench"))
     models = {"kde": {}, "rl": {}}
-    inputs = []
-    for path in args.kde or []:
-        model = kde_load(path)
-        models["kde"][model.depth] = model
-        inputs.append(path)
-    for path in args.policy or []:
-        bundle = load_policy(path)
-        models["rl"][bundle.depth] = bundle
-        inputs.append(path)
-    suite_name = _resolve(args, config, "suite", "test")
-    max_n = _resolve(args, config, "max_n", None)
-    items = [(spec, g) for spec, g in suite(suite_name)
-             if max_n is None or g.n <= max_n]
-    threads = _resolve(args, config, "threads", 1)
-    records = run_bench(items, roster, cfg, models, threads=threads)
-    out = _out_dir(args)
+    for kind, load, paths in (("kde", kde_load, o.kde),
+                              ("rl", load_policy, o.policy)):
+        for path in paths:
+            model = load(path)
+            models[kind][model.depth] = model
+    items = [(spec, g) for spec, g in suite(o.suite)
+             if o.max_n is None or g.n <= o.max_n]
+    records = run_bench(items, roster, cfg, models, threads=o.threads)
+    out = _out_dir(o)
     # the records go to disk first, so a failure in the metrics keeps them
     written = export_report(None, records, out, formats=("csv",))
     table = compute_metrics(records, suite_cut_values(items))
     written += export_report(table, records, out, formats=("json",))
     print(f"wrote {len(records)} records to {out}")
-    return ({"suite": suite_name, "p": list(depths), "roster": list(roster),
-             "budget": cfg.budget, "attempts": cfg.attempts, "shots": shots,
-             "max_n": max_n, "threads": threads, "seed": seed},
-            inputs, written)
+    return ({"suite": o.suite, "p": list(depths), "roster": list(roster),
+             "budget": o.budget, "attempts": o.attempts, "shots": o.shots,
+             "max_n": o.max_n, "threads": o.threads, "seed": o.seed},
+            o.kde + o.policy, written)
 
 
-def cmd_report(args, config) -> tuple:
-    records = read_records(args.records)
-    fmt = args.format or "both"
-    formats = ("csv", "json") if fmt == "both" else (fmt,)
+def cmd_report(o) -> tuple:
+    """recompute metrics from records.csv"""
+    records = read_records(o.records)
+    formats = ("csv", "json") if o.format == "both" else (o.format,)
     table = compute_metrics(records, records_cut_values(records))
-    out = _out_dir(args)
+    out = _out_dir(o)
     written = export_report(table, records, out, formats=formats)
     print(f"wrote {', '.join(str(p) for p in written)}")
-    return ({"records": str(args.records), "format": fmt}, [args.records],
+    return ({"records": str(o.records), "format": o.format}, [o.records],
             written)
 
 
 # -------------------------------------------------------------- dispatch
+
+HANDLERS = dict(zip(COMMANDS, (cmd_gen, cmd_landscape, cmd_build_sstar,
+                               cmd_build_kde, cmd_train_rl, cmd_bench,
+                               cmd_report)))
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qaoabench",
         description="QAOA Max-Cut parameter-optimization workbench")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, shots=False):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--config", type=Path, default=None)
+    parsers = {name: sub.add_parser(name, help=fn.__doc__)
+               for name, fn in HANDLERS.items()}
+    parsers["landscape"].add_argument("--instance", required=True)
+    parsers["build-kde"].add_argument("--sstar", type=Path, action="append",
+                                      required=True)
+    parsers["report"].add_argument("--records", type=Path, required=True)
+    parsers["report"].add_argument("--format",
+                                   choices=("csv", "json", "both"),
+                                   default="both")
+    for flag in ("--kde", "--policy"):
+        parsers["bench"].add_argument(flag, type=Path, action="append",
+                                      default=[])
+    # the option flags take text, cast and checked by `resolve`
+    for key, option in OPTIONS.items():
+        for name in option.defaults:
+            parsers[name].add_argument(_flag(key), dest=key,
+                                       help=option.help)
+    for name in ("landscape", "bench"):
+        parsers[name].add_argument(
+            "--exact", action="store_true",
+            help="exact evaluation instead of shot sampling")
+    for sp in parsers.values():
+        sp.add_argument("--config", type=Path)
         sp.add_argument("--out", type=Path, required=True)
-        if shots:
-            sp.add_argument("--shots", type=int, default=None)
-            sp.add_argument("--exact", action="store_true",
-                            help="exact evaluation instead of shot sampling")
-
-    sp = sub.add_parser("gen", help="write a suite manifest")
-    sp.add_argument("--suite", choices=("train", "test"), default=None)
-    common(sp)
-
-    sp = sub.add_parser("landscape", help="p=1 energy surface CSV")
-    sp.add_argument("--instance", required=True)
-    sp.add_argument("--resolution", type=int, default=None)
-    common(sp, shots=True)
-
-    sp = sub.add_parser("build-sstar", help="multistart near-optimal sets")
-    sp.add_argument("--suite", choices=("train", "test"), default=None)
-    sp.add_argument("--p", default=None, help="comma-separated depths")
-    sp.add_argument("--starts", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("build-kde", help="fit density models on S* files")
-    sp.add_argument("--sstar", type=Path, action="append", required=True)
-    sp.add_argument("--bandwidth", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("train-rl", help="train the policy for one depth")
-    sp.add_argument("--suite", choices=("train", "test"), default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--episodes", type=int, default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--probe", type=int, default=None,
-                    help="normalizer evals per instance; used only at p > 1")
-    common(sp)
-
-    sp = sub.add_parser("bench", help="run the optimizer comparison")
-    sp.add_argument("--suite", choices=("train", "test"), default=None)
-    sp.add_argument("--roster", default=None)
-    sp.add_argument("--p", default=None, help="comma-separated depths")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--attempts", type=int, default=None)
-    sp.add_argument("--max-n", dest="max_n", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--kde", type=Path, action="append", default=None)
-    sp.add_argument("--policy", type=Path, action="append", default=None)
-    common(sp, shots=True)
-
-    sp = sub.add_parser("report", help="recompute metrics from records.csv")
-    sp.add_argument("--records", type=Path, required=True)
-    sp.add_argument("--format", choices=("csv", "json", "both"), default=None)
-    common(sp)
     return ap
-
-
-HANDLERS = {
-    "gen": cmd_gen,
-    "landscape": cmd_landscape,
-    "build-sstar": cmd_build_sstar,
-    "build-kde": cmd_build_kde,
-    "train-rl": cmd_train_rl,
-    "bench": cmd_bench,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
-        resolved, inputs, outputs = HANDLERS[args.command](args, config)
+        resolved, inputs, outputs = HANDLERS[args.command](
+            resolve(args, config))
         write_manifest(args.out, args.command, resolved, inputs, outputs)
     except (QaoaBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

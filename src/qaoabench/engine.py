@@ -119,8 +119,7 @@ class GraphStack:
     """Same-n graphs, one row each: `evolve` and `energy` on a stack take
     point k on graph rows[k], by default graph k, as one kernel batch.  It
     holds the graphs' cut rows and phase-index rows, the latter on the
-    common level stride max m + 1, so build it once and reuse it; a plain
-    sequence of graphs is stacked per call."""
+    common level stride max m + 1, so build it once and reuse it."""
 
     def __init__(self, graphs):
         self.graphs = tuple(graphs)
@@ -155,8 +154,6 @@ def _layout(g, count: int):
         levels = g.num_edges + 1
         return (g.n, levels, g.phase_index[None], g.cuts[None], None,
                 [levels] * count)
-    if not isinstance(g, GraphStack):
-        g = GraphStack(g)
     if len(g.rows) != count:
         raise DomainError(f"a stack of {len(g.rows)} graph rows takes one "
                           f"point each, got {count}")
@@ -218,7 +215,7 @@ def evolve(g, params) -> np.ndarray:
     the half state (2^(n-1) entries, normalised to 1), taken out of the
     frame by `kernels.amplitudes`.  `params` is one QaoaParams, or a
     sequence of K of them for a (K, 2^(n-1)) array, row k for point k.
-    `g` is one Graph, or a GraphStack (or sequence) of K same-n graphs."""
+    `g` is one Graph, or a GraphStack of K same-n graphs."""
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
     n, levels, index, _, rows, _ = _layout(g, len(points))
@@ -260,15 +257,18 @@ def energy(g, params, shots: int | None = None,
     them, for a list of K; then `rng` is an iterable of K generators,
     taken in order, point k's draws made before generator k + 1 is taken
     (so one generator re-pointed per point serves).  `g` is one Graph for
-    every point, or a GraphStack (or sequence) of same-n graphs, point k
-    on graph rows[k] of the stack.  The points evolve together, `_frames`
+    every point, or a GraphStack of same-n graphs, point k on graph
+    rows[k] of the stack.  The points evolve together, `_frames`
     chunks at a time, and each gets the value it would get alone, bit for
     bit.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels of the
-    point's own graph.
+    point's own graph.  `shots` below 1 raises DomainError.
     """
+    if shots is not None and shots < 1:
+        raise DomainError(f"shots must be >= 1, got {shots}; "
+                          f"shots=None is exact")
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
     n, levels, index, cuts, rows, sizes = _layout(g, len(points))
@@ -344,8 +344,6 @@ def energy_p1(g: Graph, betas, gammas) -> np.ndarray:
 def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
                         seed: int) -> EnergyValue:
     """Energy from `shots` simulated measurements; deterministic per seed."""
-    if shots < 1:
-        raise DomainError("shots must be >= 1; use energy(g, params) for exact")
     return energy(g, params, shots, stream_rng(seed, "shots"))
 
 

@@ -162,7 +162,7 @@ def test_stacked_energy_equals_single_energies_bit_for_bit():
         points = _points(rng, 2, len(graphs))
         assert [ev.mean for ev in energy(stack, points)] == [
             energy(g, q).mean for g, q in zip(graphs, points)]
-        sampled = energy(graphs, points, 64,
+        sampled = energy(stack, points, 64,
                          (stream_rng(5, "stack", k) for k in range(5)))
         assert sampled == [
             energy(g, q, 64, stream_rng(5, "stack", k))

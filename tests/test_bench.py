@@ -185,6 +185,19 @@ def test_gap_reduction_needs_baseline():
         gap_reduction(optimality_ratios(records))
 
 
+def test_gap_reduction_names_the_first_group_without_baseline():
+    tau = {("b", 1, "kde"): 0.5, ("b", 1, "nm"): 0.4, ("a", 2, "kde"): 0.6,
+           ("a", 1, "kde"): 0.7, ("c", 1, "nm"): 0.3}
+    with pytest.raises(DomainError, match="group='a' p=1"):
+        gap_reduction(tau)
+    del tau[("a", 1, "kde")], tau[("a", 2, "kde")]
+    tau[("c", 1, "rl")] = 1.0
+    gap = gap_reduction(tau)
+    assert list(gap) == [("b", 1, "kde"), ("c", 1, "rl")]
+    assert gap[("b", 1, "kde")] == pytest.approx(1.2)
+    assert gap[("c", 1, "rl")] == math.inf
+
+
 def test_metrics_reject_empty():
     with pytest.raises(DomainError):
         optimality_ratios([])

@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline on miniature workloads."""
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from qaoabench.errors import ConfigError, DomainError
 from qaoabench.graphs import instance_id
 from qaoabench.kde import kde_load
 from qaoabench.rl import load_policy
+from qaoabench.seeding import STREAM_VERSION
 
 
 def write(path, text):
@@ -104,6 +107,13 @@ def test_manifest_hashes_outputs(tmp_path):
     assert manifest["command"] == "gen"
     digest = hashlib.sha256((out / "suite.json").read_bytes()).hexdigest()
     assert manifest["outputs"]["suite.json"] == digest
+
+
+def test_manifest_records_stream_version(tmp_path):
+    out = tmp_path / "gen"
+    assert main(["gen", "--suite", "train", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stream_version"] == STREAM_VERSION
 
 
 # --- landscape ----------------------------------------------------------------
@@ -428,3 +438,81 @@ def test_bench_keeps_records_when_metrics_fail(tmp_path, capsys, monkeypatch):
     records = read_records(out / "records.csv")
     assert {r.optimizer for r in records} == {"random", "nm"}
     assert not (out / "metrics.json").exists()
+
+
+def test_config_bandwidth_below_one_fits_that_bandwidth(pipeline, tmp_path):
+    root, _ = pipeline
+    cfg = write(tmp_path / "c.cfg", "bandwidth = 0.3\n")
+    out = tmp_path / "kde"
+    assert main(["build-kde", "--config", cfg, "--sstar",
+                 str(root / "sstar" / "sstar-p1.json"),
+                 "--out", str(out)]) == 0
+    assert kde_load(out / "kde-p1.json").bandwidth == 0.3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["bandwidth"] == 0.3
+
+
+# stages small enough to finish should a bad value ever be let through
+TINY_BENCH = ["bench", "--suite", "train", "--p", "1", "--roster", "random,nm",
+              "--budget", "8", "--attempts", "1", "--exact"]
+TINY_LANDSCAPE = ["landscape", "--instance", "L-n3", "--exact"]
+
+
+@pytest.mark.parametrize("stage,key,value,reason", [
+    (TINY_BENCH, "seed", "-1", "seed must be >= 0"),
+    (TINY_BENCH, "threads", "0", "threads must be >= 1"),
+    (TINY_BENCH, "budget", "soon", "budget expects int, got 'soon'"),
+    (TINY_LANDSCAPE, "resolution", "1", "resolution must be >= 2"),
+])
+def test_flag_and_config_values_get_one_check(tmp_path, capsys, stage, key,
+                                              value, reason):
+    flag = "--" + key
+    assert main(stage + [flag, value, "--out", str(tmp_path / "f")]) == 1
+    flag_err = capsys.readouterr().err.strip()
+    cfg = write(tmp_path / "c.cfg", f"{key} = {value}\n")
+    assert main(stage + ["--config", cfg, "--out", str(tmp_path / "c")]) == 1
+    config_err = capsys.readouterr().err.strip()
+    assert flag_err == f"error: invalid flags: {flag}: {reason}"
+    assert config_err == f"error: invalid config: line 1: {reason}"
+    assert not (tmp_path / "f").exists() and not (tmp_path / "c").exists()
+
+
+def test_bad_depths_exit_one_from_flag_or_config(tmp_path, capsys):
+    out = str(tmp_path / "s")
+    assert main(["build-sstar", "--p", "1,x", "--starts", "1",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid flags: --p: depths must be")
+    assert "'1,x'" in err and "Traceback" not in err
+    cfg = write(tmp_path / "c.cfg", "depths = 1,y\n")
+    assert main(["build-sstar", "--config", cfg, "--starts", "1",
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: line 1: depths must be")
+    assert "'1,y'" in err and "Traceback" not in err
+
+
+def test_train_rl_flag_with_two_depths_exits_one(tmp_path, capsys):
+    assert main(["train-rl", "--p", "1,2", "--out", str(tmp_path / "rl")]) == 1
+    assert "train-rl trains one depth, got [1, 2]" in capsys.readouterr().err
+
+
+def test_bad_suite_exits_one_from_flag_or_config(tmp_path, capsys):
+    assert main(["gen", "--suite", "tset", "--out", str(tmp_path / "g")]) == 1
+    flag_err = capsys.readouterr().err
+    cfg = write(tmp_path / "c.cfg", "suite = tset\n")
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "g")]) == 1
+    config_err = capsys.readouterr().err
+    reason = "suite must be 'train' or 'test', got 'tset'"
+    assert flag_err.strip().endswith(reason)
+    assert config_err.strip().endswith(reason)
+
+
+def test_artifact_digest_tool_passes(capsys):
+    tool = Path(__file__).resolve().parent.parent / "tools" / \
+        "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main_digest() == 0
+    assert "\ncombined " in capsys.readouterr().out

@@ -294,6 +294,15 @@ def test_sampled_requires_positive_shots():
         expectation_sampled(K2, QaoaParams([0.1], [0.1]), 0, seed=0)
 
 
+@pytest.mark.parametrize("shots", [0, -3])
+def test_energy_refuses_fewer_than_one_shot(shots):
+    q = QaoaParams([0.1], [0.1])
+    with pytest.raises(DomainError, match="shots must be >= 1"):
+        energy(K2, q, shots, stream_rng(0, "shots"))
+    with pytest.raises(DomainError, match="shots must be >= 1"):
+        energy(K2, [q, q], shots, (stream_rng(0, k) for k in range(2)))
+
+
 def test_sampled_single_shot_and_edgeless():
     ev = expectation_sampled(K2, QaoaParams([0.3], [0.4]), 1, seed=0)
     assert ev.shots == 1 and ev.stderr == 0.0
