@@ -41,7 +41,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 from .graphs import Graph
-from .seeding import reseed, stream_rng
+from .seeding import point, stream_keys, stream_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,13 +239,16 @@ def _pieces(cuts, amps: np.ndarray):
 
 def _laws(cuts, amps: np.ndarray, levels: int) -> np.ndarray:
     """(K, levels) probability of each cut level in the K rows of
-    `amps`."""
-    law = np.zeros((len(amps), levels))
+    `amps`: one bincount per piece over all rows, row k's levels offset
+    to bins k * levels on, so each bin adds its terms in the order a
+    bincount of row k alone would."""
+    count = len(amps)
+    offsets = np.arange(0, count * levels, levels)[:, None]
+    law = np.zeros(count * levels)
     for probs, piece in _pieces(cuts, amps):
-        rows = piece if len(piece) > 1 else [piece[0]] * len(probs)
-        for row, weights, c in zip(law, probs, rows):
-            row += np.bincount(c, weights=weights, minlength=levels)
-    return law
+        law += np.bincount((piece + offsets).ravel(), weights=probs.ravel(),
+                           minlength=count * levels)
+    return law.reshape(count, levels)
 
 
 def energy(g, params, shots: int | None = None,
@@ -264,7 +267,8 @@ def energy(g, params, shots: int | None = None,
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels of the
-    point's own graph.  `shots` below 1 raises DomainError.
+    point's own graph.  `shots` below 1 raises DomainError, and so does
+    a sampled point without a generator, naming the first.
     """
     if shots is not None and shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}; "
@@ -272,7 +276,8 @@ def energy(g, params, shots: int | None = None,
     one = isinstance(params, QaoaParams)
     points = [params] if one else list(params)
     n, levels, index, cuts, rows, sizes = _layout(g, len(points))
-    rngs = None if shots is None else iter([rng] if one else rng)
+    rngs = None if shots is None else iter(
+        [rng] if one or rng is None else rng)
     values = []
     for lo, amps in _frames(n, levels, index, rows, points):
         chunk_cuts = _rows(cuts, rows, lo, len(amps))
@@ -285,28 +290,52 @@ def energy(g, params, shots: int | None = None,
                 means = means + np.add.reduce(probs * piece, axis=1)
             values += map(EnergyValue, means.tolist())
         else:
-            laws = _laws(chunk_cuts, amps, levels)
-            for law, size in zip(laws, sizes[lo:lo + len(amps)]):
-                # the point's own levels: zero levels past its m would
-                # change the normalizing sum and the multinomial's draws
-                law = law[:size]
-                values.append(_sampled(law / np.add.reduce(law), shots,
-                                       next(rngs)))
+            values += _sampled_chunk(_laws(chunk_cuts, amps, levels),
+                                     sizes[lo:lo + len(amps)], shots,
+                                     rngs, lo)
         # free this chunk's states before the next chunk evolves
         del amps
     return values[0] if one else values
 
 
-def _sampled(law: np.ndarray, shots: int, rng) -> EnergyValue:
-    """Mean and standard error of `shots` cut sizes drawn from `law`."""
-    counts = rng.multinomial(shots, law)
-    levels = np.arange(law.size)
-    mean = float(counts @ levels) / shots
+def _sampled_chunk(laws: np.ndarray, sizes, shots: int, rngs,
+                   lo: int) -> list:
+    """EnergyValues of `shots` cut sizes drawn from each row of `laws`,
+    the chunk of points lo, lo + 1, ..., row k over its own `sizes[k]`
+    levels, with the next generator of `rngs` per row.  Only the draw is
+    per row.  Rows of one level count are normalized, and their variances
+    summed, together: a row-wise reduction or dot adds in the order of
+    the row's own 1-d one, but that order depends on the length, so
+    lengths are never mixed."""
+    groups = {}
+    for k, size in enumerate(sizes):
+        groups.setdefault(size, []).append(k)
+    groups = {size: slice(None) if len(groups) == 1 else np.array(rows)
+              for size, rows in groups.items()}
+    # the point's own levels: zero levels past its m would change the
+    # normalizing sum and the multinomial's draws
+    probs = np.zeros(laws.shape)
+    for size, rows in groups.items():
+        law = laws[rows, :size]
+        probs[rows, :size] = law / np.add.reduce(law, axis=-1)[..., None]
+    counts = np.zeros(laws.shape, dtype=np.int64)
+    for k, (p, size) in enumerate(zip(probs, sizes)):
+        rng = next(rngs, None)
+        if rng is None:
+            raise DomainError(f"sampled point {lo + k} has no generator")
+        counts[k, :size] = rng.multinomial(shots, p[:size])
+    levels = np.arange(laws.shape[1])
+    means = (counts @ levels) / shots
+    var = np.zeros(len(laws))
     if shots > 1:
-        var = float(counts @ (levels - mean) ** 2) / (shots - 1)
-    else:
-        var = 0.0
-    return EnergyValue(mean=mean, shots=shots, stderr=math.sqrt(var / shots))
+        d2 = (levels - means[:, None]) ** 2
+        for size, rows in groups.items():
+            var[rows] = np.matmul(counts[rows, None, :size].astype(float),
+                                  d2[rows, :size, None])[..., 0, 0]
+        var /= shots - 1
+    stderr = np.sqrt(var / shots)
+    return [EnergyValue(mean=m, shots=shots, stderr=e)
+            for m, e in zip(means.tolist(), stderr.tolist())]
 
 
 def energy_p1(g: Graph, betas, gammas) -> np.ndarray:
@@ -369,7 +398,7 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
 
     shots=None evaluates `energy_p1` over the whole grid at once; otherwise
     each grid row is one batch, and point (i, j) is sampled with its own
-    substream (seed, "landscape", i, j).
+    substream (seed, "landscape", i, j), the row's keys derived at once.
     """
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution}")
@@ -384,9 +413,9 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
         rng = np.random.Generator(np.random.Philox(0))
         for i, beta in enumerate(axis):
             row = [QaoaParams([beta], [gamma]) for gamma in axis]
-            values = energy(g, row, shots, (
-                reseed(rng, seed, "landscape", i, j)
-                for j in range(resolution)))
+            keys = stream_keys(seed, ("landscape", i), resolution)
+            values = energy(g, row, shots,
+                            (point(rng, key) for key in keys.tolist()))
             mean[i] = [ev.mean for ev in values]
             stderr[i] = [ev.stderr for ev in values]
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),

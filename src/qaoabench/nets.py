@@ -57,16 +57,18 @@ class Mlp:
 
     def forward(self, x: np.ndarray, buffers: "Buffers | None" = None):
         """Returns (output, cache), the cache being the (B, width) layer
-        activations, input first; accepts (D,) or (B, D) inputs.  With
-        `buffers` the hidden activations are written there, so the cache
-        holds only until the next pass with the same buffers; the output
-        is always a fresh array."""
+        activations, input first; accepts (D,) or (B, D) inputs, or an
+        (E, 1, D) stack of E one-row inputs, whose layers run as one
+        matmul over the stack with the bits of E one-row passes.  With
+        `buffers` (not for a stack) the hidden activations are written
+        there, so the cache holds only until the next pass with the same
+        buffers; the output is always a fresh array."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x.reshape(1, -1) if squeeze else x
-        if h.shape[1] != self.weights[0].shape[0]:
+        if h.shape[-1] != self.weights[0].shape[0]:
             raise DomainError(
-                f"input dimension {h.shape[1]} != expected "
+                f"input dimension {h.shape[-1]} != expected "
                 f"{self.weights[0].shape[0]}")
         acts = [h]
         last = len(self.weights) - 1

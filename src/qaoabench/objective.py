@@ -23,7 +23,7 @@ from .engine import EnergyValue, GraphStack, QaoaParams, chunk_points, \
     energy
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
-from .seeding import reseed
+from .seeding import point, stream_keys
 
 
 @dataclass
@@ -44,7 +44,9 @@ class MeteredObjective:
     substream (seed, "metered", i) of `seed`, whether it came alone or in
     a batch, so the noise sequence is reproducible and independent of
     parameter values.  The objective owns one Philox generator and points
-    it at each evaluation's substream (`seeding.reseed`).
+    it at each evaluation's substream (`seeding.point`); the keys of the
+    whole budget's substreams come from one `seeding.stream_keys` call,
+    on the first sampled evaluation.
 
     `fn(points, shots, rngs)` evaluates a list of QaoaParams, with an
     iterable of one generator per point when sampled, and returns their
@@ -69,6 +71,7 @@ class MeteredObjective:
         self.trace: list[tuple[QaoaParams, EnergyValue]] = []
         self._rng = (None if shots is None
                      else np.random.Generator(np.random.Philox(0)))
+        self._keys = None
 
     @classmethod
     def for_graph(cls, g: Graph, depth: int, budget: int,
@@ -107,7 +110,10 @@ class MeteredObjective:
 
     def _stream(self, i: int):
         """The generator pointed at evaluation i's noise substream."""
-        return reseed(self._rng, self.seed, "metered", i)
+        if self._keys is None:
+            self._keys = stream_keys(self.seed, ("metered",),
+                                     self.budget).tolist()
+        return point(self._rng, self._keys[i])
 
     def exact_value(self, params: QaoaParams) -> float | None:
         """Exact energy at `params`, outside the budget; None for

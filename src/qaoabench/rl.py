@@ -408,7 +408,8 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
 def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
                     starts=None) -> list[OptResult]:
     """`rl_optimize` on each objs[k] with seeds[k] (and starts[k]), in
-    lockstep: one `Walk`, with one one-row actor forward per run and step,
+    lockstep: one `Walk`, with one actor forward per step over a stack of
+    one-row inputs, each run's row with the bits of its own forward,
     then one `objective.lockstep` of Nelder-Mead runs.  The objectives
     need equal budgets, so the walks end together."""
     p, budget = bundle.depth, objs[0].remaining
@@ -430,9 +431,8 @@ def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
     since = [len(obj.trace) for obj in objs]
     walk = Walk(objs, seeds, normalizers, starts)
     for _ in range(budget // 2 - 1):
-        walk.step(np.clip(np.concatenate([
-            bundle.actor(state) for state in walk.states[:, None]]),
-            -ACTION_BOUND, ACTION_BOUND))
+        walk.step(np.clip(bundle.actor(walk.states[:, None])[:, 0],
+                          -ACTION_BOUND, ACTION_BOUND))
     lockstep(objs, [
         simplex_steps(result_from_trace(obj.trace[k:]).best_params.vector(),
                       obj.remaining) for obj, k in zip(objs, since)])

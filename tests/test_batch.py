@@ -179,6 +179,29 @@ def test_stacked_energy_equals_single_energies_bit_for_bit():
             np.testing.assert_array_equal(row, evolve(graphs[r], q))
 
 
+@pytest.mark.parametrize("shots", [1, 1000, 1024])
+def test_stacked_sampled_energy_equals_single_energies(shots):
+    # six level counts, one past 16 levels and one of an edgeless graph,
+    # over two kernel chunks: each row's shot statistics are its own.
+    # At 1024 shots every variance term is a dyadic rational and sums
+    # exactly in any order; at 1000 the order of the sum shows.
+    rng = np.random.default_rng(19)
+    n = 9
+    graphs = [_graph(rng, n, m) for m in (0, 2, 5, 9, 16, 24)]
+    count = 2 * kernels.SLICE >> (n - 1)
+    points = _points(rng, 1, count)
+    # every level count in a chunk, then only the 17 of the 16-edge graph
+    # on the stack's 25-level stride
+    for rows in (np.arange(count) % len(graphs), [4] * count):
+        sampled = energy(GraphStack(graphs).on(rows), points, shots,
+                         (stream_rng(8, "stack", k) for k in range(count)))
+        assert sampled == [
+            energy(graphs[r], q, shots, stream_rng(8, "stack", k))
+            for k, (r, q) in enumerate(zip(rows, points))]
+        assert shots == 1 or all(ev.stderr > 0 for ev in sampled
+                                 if ev.mean not in (0, 24))
+
+
 def test_graph_stacks_refuse_mixed_n_and_other_counts():
     with pytest.raises(DomainError):
         GraphStack([gen_ladder(2), gen_ladder(3)])

@@ -303,6 +303,16 @@ def test_energy_refuses_fewer_than_one_shot(shots):
         energy(K2, [q, q], shots, (stream_rng(0, k) for k in range(2)))
 
 
+def test_sampled_points_without_a_generator_are_refused():
+    q = QaoaParams([0.1], [0.1])
+    with pytest.raises(DomainError, match="point 0 has no generator"):
+        energy(K2, q, 64)
+    with pytest.raises(DomainError, match="point 0 has no generator"):
+        energy(K2, [q, q], 64)
+    with pytest.raises(DomainError, match="point 2 has no generator"):
+        energy(K2, [q] * 4, 64, (stream_rng(0, k) for k in range(2)))
+
+
 def test_sampled_single_shot_and_edgeless():
     ev = expectation_sampled(K2, QaoaParams([0.3], [0.4]), 1, seed=0)
     assert ev.shots == 1 and ev.stderr == 0.0

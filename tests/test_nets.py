@@ -42,6 +42,23 @@ def test_forward_shapes_and_batching():
     assert net.sizes == [5, 8, 7, 3]
 
 
+def test_a_stack_of_one_row_inputs_keeps_each_rows_bits():
+    # a stack runs each layer as one matmul over its one-row items; a
+    # plain (E, D) batch may sum in another order
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        d, width, out = (int(k) for k in rng.integers(1, 40, 3))
+        net = make_net("scaled_tanh", (d, width, width, out), scale=0.5,
+                       seed=trial)
+        x = rng.normal(size=(int(rng.integers(1, 30)), 1, d))
+        stacked, cache = net.forward(x)
+        assert stacked.shape == (len(x), 1, out)
+        assert [a.shape for a in cache] == [(len(x), 1, k)
+                                            for k in net.sizes]
+        np.testing.assert_array_equal(
+            stacked, np.array([net(row) for row in x]))
+
+
 def test_zero_weights_give_zero_output():
     net = make_net("scaled_tanh")
     for w in net.weights:

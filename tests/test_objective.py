@@ -10,6 +10,7 @@ from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.kde import kde_fit, kde_optimize
 from qaoabench.objective import MeteredObjective, result_from_trace
+from qaoabench.seeding import stream_rng
 
 
 P0 = QaoaParams([0.1], [0.2])
@@ -64,6 +65,17 @@ def test_noise_is_reproducible_and_per_call():
     assert len(set(seq_a)) > 1  # same params, different call index -> new draw
     c = MeteredObjective.for_graph(g, depth=1, budget=4, shots=128, seed=10)
     assert [c(P0).mean for _ in range(4)] != seq_a
+
+
+def test_evaluation_i_draws_its_metered_substream():
+    # the keys derived for the whole budget at once are those of the
+    # substreams (seed, "metered", i), alone or in a batch
+    g = gen_ladder(2)
+    obj = MeteredObjective.for_graph(g, depth=1, budget=8, shots=64, seed=4)
+    points = QaoaParams.rows(np.linspace(-1.0, 1.0, 16).reshape(8, 2))
+    got = [obj(points[0])] + obj(points[1:5]) + obj(points[5:])
+    assert got == [energy(g, q, 64, stream_rng(4, "metered", i))
+                   for i, q in enumerate(points)]
 
 
 def test_result_exact_mode():

@@ -1,9 +1,10 @@
 """Named substream derivation."""
 
 import numpy as np
+import pytest
 
-from qaoabench.seeding import (STREAM_VERSION, derive_seed, reseed,
-                               seed_sequence, stream_rng)
+from qaoabench.seeding import (STREAM_VERSION, derive_seed, point, reseed,
+                               seed_sequence, stream_keys, stream_rng)
 
 
 def test_same_path_same_stream():
@@ -79,3 +80,25 @@ def test_reseed_draws_like_a_fresh_stream():
             fresh.multinomial(1000, [0.2, 0.5, 0.3]).tolist()
         assert rng.integers(0, 2**32, 3).tolist() == \
             fresh.integers(0, 2**32, 3).tolist()
+
+
+@pytest.mark.parametrize("root", [0, 7, 2**40 + 3, 2**63 - 1])
+@pytest.mark.parametrize("path", [(), ("metered",), ("landscape", 3)])
+def test_stream_keys_are_numpys_seed_sequence_keys(root, path):
+    # the vectorized mixing must reproduce SeedSequence word for word
+    for count in (0, 1, 200):
+        keys = stream_keys(root, path, count)
+        assert keys.shape == (count, 2) and keys.dtype == np.uint64
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(
+                key, seed_sequence(root, *path, i).generate_state(4).view(
+                    "<u8"))
+
+
+def test_a_pointed_generator_draws_its_stream():
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.random(3)
+    for i, key in enumerate(stream_keys(11, ("metered",), 4)):
+        assert point(rng, key) is rng
+        assert rng.random(5).tolist() == \
+            stream_rng(11, "metered", i).random(5).tolist()
