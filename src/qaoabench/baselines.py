@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .engine import QaoaParams
+from .engine import QaoaParams, wrap_angles
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .objective import MeteredObjective, OptResult, lockstep
@@ -33,7 +33,7 @@ def random_search(obj: MeteredObjective, seed: int) -> OptResult:
     if obj.remaining < 1:
         raise BudgetExhaustedError("no budget left for random search")
     rng = stream_rng(seed, "random-search")
-    start = len(obj.trace)
+    start = obj.calls
     obj(rng.uniform(-math.pi, math.pi, (obj.remaining, 2 * obj.depth)))
     return obj.result(since=start)
 
@@ -41,10 +41,11 @@ def random_search(obj: MeteredObjective, seed: int) -> OptResult:
 def _simplex_diameter(points: np.ndarray) -> float:
     """Largest distance between two vertices: the square root of the
     largest x.dot(x) over the pairwise differences x, which is what
-    `np.linalg.norm` takes the root of."""
+    `np.linalg.norm` takes the root of; a stack of 1 x d by d x 1
+    products takes each as x.dot(x) does."""
     first, second = _pairs(len(points))
     diffs = points[first] - points[second]
-    return math.sqrt(max(x.dot(x) for x in diffs))
+    return math.sqrt(np.matmul(diffs[:, None, :], diffs[:, :, None]).max())
 
 
 @functools.cache
@@ -56,15 +57,16 @@ def _pairs(count: int):
 def nelder_mead(obj: MeteredObjective, x0: QaoaParams) -> OptResult:
     """Simplex search maximizing the metered objective from x0
     (`simplex_steps`); returns the best point this run evaluated."""
-    return nelder_mead_all([obj], [x0])[0]
+    return nelder_mead_all([obj], x0.vector()[None])[0]
 
 
 def nelder_mead_all(objs, starts) -> list[OptResult]:
-    """`nelder_mead` on each objs[k] from starts[k], the runs in lockstep
+    """`nelder_mead` on each objs[k] from row k of the (K, 2p) vectors
+    `starts`, wrapped like `QaoaParams` wraps them, the runs in lockstep
     (`objective.lockstep`), so each round's points are one request."""
-    since = [len(obj.trace) for obj in objs]
-    lockstep(objs, [simplex_steps(x0.vector(), obj.remaining)
-                    for obj, x0 in zip(objs, starts)])
+    since = [obj.calls for obj in objs]
+    lockstep(objs, [simplex_steps(x0, obj.remaining)
+                    for obj, x0 in zip(objs, wrap_angles(starts))])
     return [obj.result(since=k) for obj, k in zip(objs, since)]
 
 
@@ -136,7 +138,7 @@ def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaP
     starts = rng.uniform(-math.pi, math.pi, (n_starts, 2 * p))
     results = nelder_mead_all(
         [MeteredObjective.for_graph(g, depth=p, budget=MULTISTART_BUDGET)
-         for _ in starts], QaoaParams.rows(starts))
+         for _ in starts], starts)
     best = max(r.best_value for r in results)
     return [r.best_params for r in results if r.best_value >= 0.99 * best]
 

@@ -17,7 +17,7 @@ from statistics import median
 from .artifacts import METRICS_SCHEMA, RECORDS_SCHEMA, TAU_SCHEMA, \
     read_csv, write_csv, write_json
 from .baselines import nelder_mead_all, random_search
-from .engine import QaoaParams, chunk_points
+from .engine import chunk_points
 from .errors import ConfigError, DomainError
 from .graphs import MAX_N, group_of, instance_id, \
     max_cut_bruteforce, realize, spec_from_id
@@ -76,9 +76,10 @@ class MetricsTable:
 
 
 def _shared_start(root_seed: int, iid: str, depth: int,
-                  attempt: int) -> QaoaParams:
+                  attempt: int):
+    """The start vector of an nm or rl cell, which the optimizer wraps."""
     rng = stream_rng(root_seed, "start", iid, depth, attempt)
-    return QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2 * depth))
+    return rng.uniform(-math.pi, math.pi, 2 * depth)
 
 
 def _run_cell(cells, cfg: BenchConfig, depth: int, optimizer: str,

@@ -20,12 +20,14 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
     SUITE_SCHEMA, read_json, write_csv, write_json, write_manifest
 from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
-from .engine import energy, energy_p1, landscape_grid
+from .engine import energy_p1, energy_rows, landscape_grid
 from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
@@ -212,16 +214,13 @@ def cmd_build_sstar(o) -> tuple:
             iid = instance_id(spec)
             admitted = multistart_collect(
                 g, p, o.starts, derive_seed(o.seed, "sstar", iid, p))
-            if p == 1:
-                # the closed form scores every admitted point at once
-                best = float(max(energy_p1(
-                    g, [q.betas[0] for q in admitted],
-                    [q.gammas[0] for q in admitted])))
-            else:
-                best = max(value.mean for value in energy(g, admitted))
+            # one batch scores every admitted point: the closed form at
+            # p = 1 on contiguous angles, else the rows, wrapped already
+            rows = np.array([q.vector() for q in admitted])
+            best = float(max(energy_p1(g, *rows.T.copy()) if p == 1
+                             else energy_rows(g, rows).mean))
             entries.append({"instance_id": iid, "p": p,
-                            "admitted": [q.vector().tolist() for q in admitted],
-                            "best_exact": best})
+                            "admitted": rows.tolist(), "best_exact": best})
         path = write_json(out / f"sstar-p{p}.json", SSTAR_SCHEMA,
                           {"p": p, "starts": o.starts, "entries": entries})
         paths.append(path)

@@ -15,12 +15,13 @@ never changes an energy.  The half cut diagonal and the phase index belong
 to the graph (`Graph.cuts`, `Graph.phase_index`), so each instance builds
 them once however often it is evaluated.
 
-`evolve` and `energy` take one QaoaParams or a sequence of K of them,
-which evolve together along the leading axis of the kernels, each with
-the values it would get alone, bit for bit.  The points share one Graph,
-whose index row and cut row every point reads, or each has its row of a
-`GraphStack` of same-n graphs: a lockstep round of many optimizer runs
-is one stacked evaluation per n.
+`evolve` and `energy` take one QaoaParams or a (K, 2p) array of vectors
+[betas, gammas], wrapped like `QaoaParams` wraps them (`energy_rows`
+takes them wrapped already), which evolve together along the leading
+axis of the kernels, each with the values it would get alone, bit for
+bit.  The points share one Graph, whose index row and cut row every
+point reads, or each has its row of a `GraphStack` of same-n graphs: a
+lockstep round of many optimizer runs is one stacked evaluation per n.
 
 The layers run in the frame of `kernels`: each entry is its amplitude
 over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
@@ -35,13 +36,14 @@ multinomial.
 import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError
 from .graphs import Graph
-from .seeding import point, stream_keys, stream_rng
+from .seeding import point, stream_keys
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,38 +83,41 @@ class QaoaParams:
 
     @classmethod
     def from_vector(cls, vec) -> "QaoaParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1 or vec.size < 2 or vec.size % 2:
-            raise DomainError(f"parameter vector must have even length >= 2, "
-                              f"got shape {vec.shape}")
-        return cls.rows(vec[None])[0]
+        vec = np.atleast_1d(np.asarray(vec, dtype=np.float64))
+        return cls(vec[:len(vec) // 2], vec[len(vec) // 2:])
 
     @classmethod
-    def rows(cls, vecs) -> list["QaoaParams"]:
-        """`from_vector` of each row of a (K, 2p) array, wrapping the
-        whole array at once (elementwise, so the same bits as wrapping
-        each row on its own)."""
-        vecs = np.asarray(vecs, dtype=np.float64)
-        if vecs.ndim != 2 or vecs.shape[1] < 2 or vecs.shape[1] % 2:
-            raise DomainError(f"parameter rows must have even length >= 2, "
-                              f"got shape {vecs.shape}")
-        p = vecs.shape[1] // 2
-        out = []
-        for row in wrap_angles(vecs):
-            params = object.__new__(cls)
-            object.__setattr__(params, "betas", row[:p])
-            object.__setattr__(params, "gammas", row[p:])
-            out.append(params)
-        return out
+    def of_row(cls, row) -> "QaoaParams":
+        """The wrapped vector `row`, not wrapped again, as views."""
+        params = object.__new__(cls)
+        p = len(row) // 2
+        object.__setattr__(params, "betas", row[:p])
+        object.__setattr__(params, "gammas", row[p:])
+        return params
 
 
-@dataclass(frozen=True)
-class EnergyValue:
-    """Energy estimate; shots == 0 means exact (stderr 0)."""
+def _wrap_rows(params):
+    """(wrapped (K, 2p) rows, one point?) of one QaoaParams, as it is, or
+    of a (K, 2p) array of vectors, wrapped elementwise like `QaoaParams`."""
+    if isinstance(params, QaoaParams):
+        return params.vector()[None], True
+    vecs = np.asarray(params, dtype=np.float64)
+    if vecs.ndim != 2 or vecs.shape[1] < 2 or vecs.shape[1] % 2:
+        raise DomainError(f"parameter rows must have even length >= 2, "
+                          f"got shape {vecs.shape}")
+    return wrap_angles(vecs), False
 
-    mean: float
-    shots: int = 0
-    stderr: float = 0.0
+
+class Energy(NamedTuple):
+    """Energy estimates: floats for one point, (K,) arrays for a batch;
+    `stderr` is 0 in exact mode."""
+
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
+
+    def point(self, k: int = 0) -> "Energy":
+        """The floats of point k of a batch."""
+        return Energy(float(self.mean[k]), float(self.stderr[k]))
 
 
 class GraphStack:
@@ -167,21 +172,22 @@ def _rows(a, rows, lo: int, count: int):
     return a if len(a) == 1 else a.take(rows[lo:lo + count], axis=0)
 
 
-def _evolve_frame(n: int, levels: int, index, points) -> np.ndarray:
-    """All p layers from the uniform state for the K QaoaParams in the
-    list `points`, in the frame of `kernels`: row k of the (K, 2^(n-1))
-    result holds point k, and |entry|^2 is the probability of z.
+def _evolve_frame(n: int, levels: int, index, vecs) -> np.ndarray:
+    """All p layers from the uniform state for the K wrapped rows of
+    `vecs`, in the frame of `kernels`: row k of the (K, 2^(n-1)) result
+    holds point k, and |entry|^2 is the probability of z.
 
     `index` holds one phase-index row per point, or one row they share,
     on level stride `levels`; row k is offset into the k-th stretch of
     each layer's table.  Kernels are looked up on the `kernels` module at
     call time, never bound to a local name.
     """
-    betas = np.array([q.betas for q in points])
-    gammas = np.array([q.gammas for q in points])
+    p = vecs.shape[1] // 2
+    # contiguous (K, p) copies: the kernels' angles keep one layout
+    betas, gammas = vecs[:, :p].copy(), vecs[:, p:].copy()
     tables = kernels.phase_tables(n, gammas, levels - 1)
     flat = tables.reshape(len(tables), -1)
-    if len(points) > 1:
+    if len(vecs) > 1:
         # row k reads the k-th stretch of each layer's table; a lone row
         # reads the first as it is
         index = index + np.arange(0, flat.shape[1], tables.shape[2])[:, None]
@@ -199,13 +205,13 @@ def chunk_points(n: int) -> int:
     return max(1, kernels.SLICE >> (n - 1))
 
 
-def _frames(n: int, levels: int, index, rows, points):
-    """(first point, frames) of the list `points`, in order, a chunk of
-    `chunk_points(n)` at a time, so a batch's state stays cache-sized;
+def _frames(n: int, levels: int, index, rows, vecs):
+    """(first point, frames) of the wrapped rows `vecs`, in order, a chunk
+    of `chunk_points(n)` at a time, so a batch's state stays cache-sized;
     point k reads index row rows[k] (`_rows`)."""
     step = chunk_points(n)
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
+    for lo in range(0, len(vecs), step):
+        chunk = vecs[lo:lo + step]
         yield lo, _evolve_frame(n, levels, _rows(index, rows, lo, len(chunk)),
                                 chunk)
 
@@ -214,14 +220,13 @@ def evolve(g, params) -> np.ndarray:
     """Apply all p layers to the uniform state; returns fresh amplitudes of
     the half state (2^(n-1) entries, normalised to 1), taken out of the
     frame by `kernels.amplitudes`.  `params` is one QaoaParams, or a
-    sequence of K of them for a (K, 2^(n-1)) array, row k for point k.
+    (K, 2p) array of vectors for a (K, 2^(n-1)) array, row k for point k.
     `g` is one Graph, or a GraphStack of K same-n graphs."""
-    one = isinstance(params, QaoaParams)
-    points = [params] if one else list(params)
-    n, levels, index, _, rows, _ = _layout(g, len(points))
+    vecs, one = _wrap_rows(params)
+    n, levels, index, _, rows, _ = _layout(g, len(vecs))
     amps = np.concatenate([f for _, f in _frames(n, levels, index, rows,
-                                                 points)])
-    amps = kernels.amplitudes(amps, n, _rows(index, rows, 0, len(points)),
+                                                 vecs)])
+    amps = kernels.amplitudes(amps, n, _rows(index, rows, 0, len(vecs)),
                               levels - 1)
     return amps[0] if one else amps
 
@@ -251,19 +256,26 @@ def _laws(cuts, amps: np.ndarray, levels: int) -> np.ndarray:
     return law.reshape(count, levels)
 
 
-def energy(g, params, shots: int | None = None,
-           rng=None):
+def energy(g, params, shots: int | None = None, rng=None) -> Energy:
     """Exact expected cut size, or the mean of `shots` measurements drawn
-    with `rng`.  Every statevector energy in the package is computed here.
+    with `rng`: an Energy of floats for one QaoaParams, of (K,) arrays for
+    a (K, 2p) array, with an iterable of K generators (`energy_rows`)."""
+    vecs, one = _wrap_rows(params)
+    value = energy_rows(g, vecs, shots, [rng] if one else rng)
+    return value.point() if one else value
 
-    `params` is one QaoaParams, for one EnergyValue, or a sequence of K of
-    them, for a list of K; then `rng` is an iterable of K generators,
-    taken in order, point k's draws made before generator k + 1 is taken
-    (so one generator re-pointed per point serves).  `g` is one Graph for
-    every point, or a GraphStack of same-n graphs, point k on graph
-    rows[k] of the stack.  The points evolve together, `_frames`
-    chunks at a time, and each gets the value it would get alone, bit for
-    bit.
+
+def energy_rows(g, vecs: np.ndarray, shots: int | None = None,
+                rngs=None) -> Energy:
+    """`energy` of the wrapped (K, 2p) rows `vecs`, not wrapped again.
+    Every statevector energy in the package is computed here.
+
+    `g` is one Graph for every point, or a GraphStack of same-n graphs,
+    point k on graph rows[k] of the stack.  Sampled, `rngs` is an
+    iterable of K generators, taken in order, point k's draws made before
+    generator k + 1 is taken (so one generator re-pointed per point
+    serves).  The points evolve together, `_frames` chunks at a time, and
+    each gets the value it would get alone, bit for bit.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels of the
@@ -273,40 +285,37 @@ def energy(g, params, shots: int | None = None,
     if shots is not None and shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}; "
                           f"shots=None is exact")
-    one = isinstance(params, QaoaParams)
-    points = [params] if one else list(params)
-    n, levels, index, cuts, rows, sizes = _layout(g, len(points))
-    rngs = None if shots is None else iter(
-        [rng] if one or rng is None else rng)
-    values = []
-    for lo, amps in _frames(n, levels, index, rows, points):
+    n, levels, index, cuts, rows, sizes = _layout(g, len(vecs))
+    rngs = None if shots is None else iter(() if rngs is None else rngs)
+    means, stderrs = np.zeros(len(vecs)), np.zeros(len(vecs))
+    for lo, amps in _frames(n, levels, index, rows, vecs):
+        hi = lo + len(amps)
         chunk_cuts = _rows(cuts, rows, lo, len(amps))
         if shots is None:
             # a sum reduces pairwise within a slice, which keeps the error
             # well under 1e-10 even for 2^20 terms; np.dot would go
             # through BLAS with no such bound.
-            means = 0.0
+            chunk = 0.0
             for probs, piece in _pieces(chunk_cuts, amps):
-                means = means + np.add.reduce(probs * piece, axis=1)
-            values += map(EnergyValue, means.tolist())
+                chunk = chunk + np.add.reduce(probs * piece, axis=1)
+            means[lo:hi] = chunk
         else:
-            values += _sampled_chunk(_laws(chunk_cuts, amps, levels),
-                                     sizes[lo:lo + len(amps)], shots,
-                                     rngs, lo)
+            means[lo:hi], stderrs[lo:hi] = _sampled_chunk(
+                _laws(chunk_cuts, amps, levels), sizes[lo:hi], shots, rngs,
+                lo)
         # free this chunk's states before the next chunk evolves
         del amps
-    return values[0] if one else values
+    return Energy(means, stderrs)
 
 
-def _sampled_chunk(laws: np.ndarray, sizes, shots: int, rngs,
-                   lo: int) -> list:
-    """EnergyValues of `shots` cut sizes drawn from each row of `laws`,
-    the chunk of points lo, lo + 1, ..., row k over its own `sizes[k]`
-    levels, with the next generator of `rngs` per row.  Only the draw is
-    per row.  Rows of one level count are normalized, and their variances
-    summed, together: a row-wise reduction or dot adds in the order of
-    the row's own 1-d one, but that order depends on the length, so
-    lengths are never mixed."""
+def _sampled_chunk(laws: np.ndarray, sizes, shots: int, rngs, lo: int):
+    """(means, stderrs) of `shots` cut sizes drawn from each row of
+    `laws`, the chunk of points lo, lo + 1, ..., row k over its own
+    `sizes[k]` levels, with the next generator of `rngs` per row.  Only
+    the draw is per row.  Rows of one level count are normalized, and
+    their variances summed, together: a row-wise reduction or dot adds in
+    the order of the row's own 1-d one, but that order depends on the
+    length, so lengths are never mixed."""
     groups = {}
     for k, size in enumerate(sizes):
         groups.setdefault(size, []).append(k)
@@ -333,9 +342,7 @@ def _sampled_chunk(laws: np.ndarray, sizes, shots: int, rngs,
             var[rows] = np.matmul(counts[rows, None, :size].astype(float),
                                   d2[rows, :size, None])[..., 0, 0]
         var /= shots - 1
-    stderr = np.sqrt(var / shots)
-    return [EnergyValue(mean=m, shots=shots, stderr=e)
-            for m, e in zip(means.tolist(), stderr.tolist())]
+    return means, np.sqrt(var / shots)
 
 
 def energy_p1(g: Graph, betas, gammas) -> np.ndarray:
@@ -368,12 +375,6 @@ def energy_p1(g: Graph, betas, gammas) -> np.ndarray:
                 - 0.25 * np.sin(2 * b) ** 2 * cos_c ** (du + dv - 2 * lam)
                 * (1 - np.cos(2 * c) ** lam))
     return per_edge.sum(axis=-1)
-
-
-def expectation_sampled(g: Graph, params: QaoaParams, shots: int,
-                        seed: int) -> EnergyValue:
-    """Energy from `shots` simulated measurements; deterministic per seed."""
-    return energy(g, params, shots, stream_rng(seed, "shots"))
 
 
 @dataclass
@@ -412,11 +413,9 @@ def landscape_grid(g: Graph, resolution: int, shots: int | None = None,
         mean = np.zeros((resolution, resolution))
         rng = np.random.Generator(np.random.Philox(0))
         for i, beta in enumerate(axis):
-            row = [QaoaParams([beta], [gamma]) for gamma in axis]
+            row = np.column_stack([np.full(resolution, beta), axis])
             keys = stream_keys(seed, ("landscape", i), resolution)
-            values = energy(g, row, shots,
-                            (point(rng, key) for key in keys.tolist()))
-            mean[i] = [ev.mean for ev in values]
-            stderr[i] = [ev.stderr for ev in values]
+            mean[i], stderr[i] = energy(
+                g, row, shots, (point(rng, key) for key in keys.tolist()))
     return LandscapeGrid(betas=axis.copy(), gammas=axis.copy(),
                          mean=mean, stderr=stderr)

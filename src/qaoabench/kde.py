@@ -99,7 +99,7 @@ def kde_optimize(obj: MeteredObjective, model: KdeModel, seed: int) -> OptResult
             f"model depth {model.depth} != objective depth {obj.depth}")
     if obj.remaining < 1:
         raise DomainError("no budget left for kde_optimize")
-    start = len(obj.trace)
+    start = obj.calls
     obj(sample_vectors(model, obj.remaining, seed))
     return obj.result(since=start)
 

@@ -5,12 +5,12 @@ counts calls against a fixed budget, records a full trace, and refuses to
 evaluate once the budget is gone.  Attempt-level comparisons stay fair
 because nothing can sneak extra circuit evaluations.
 
-A call takes one point or a batch of K points, which evolve together
-(`engine.energy`), charged as K evaluations and traced in order, with
-the same values, noise and trace as K single calls; random search and
-the KDE sampler spend their whole budget in one call.  Every metered
-energy goes through one request path, `Meter`, and `lockstep` drives
-many step-by-step optimizer runs through it, one call per round.
+A call takes one point or a (K, 2p) array of K points, which evolve
+together (`engine.energy_rows`), charged as K evaluations and traced in
+order, with the same values, noise and trace as K single calls; random
+search and the KDE sampler spend their whole budget in one call.  Every
+metered energy goes through one request path, `Meter`, and `lockstep`
+drives many step-by-step optimizer runs through it, one call per round.
 """
 
 import contextlib
@@ -19,8 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .engine import EnergyValue, GraphStack, QaoaParams, chunk_points, \
-    energy
+from .engine import Energy, GraphStack, QaoaParams, chunk_points, \
+    energy, energy_rows, wrap_angles
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import point, stream_keys
@@ -33,7 +33,6 @@ class OptResult:
     best_params: QaoaParams
     best_value: float        # noisy value seen by the optimizer
     evals_used: int
-    trace: list              # list[(QaoaParams, EnergyValue)], call order
     best_exact: float | None = None   # exact re-score, never budget-counted
 
 
@@ -48,9 +47,9 @@ class MeteredObjective:
     whole budget's substreams come from one `seeding.stream_keys` call,
     on the first sampled evaluation.
 
-    `fn(points, shots, rngs)` evaluates a list of QaoaParams, with an
-    iterable of one generator per point when sampled, and returns their
-    EnergyValues in order.
+    The trace is row i < `calls` of `points` (budget, 2p), `means` and
+    `stderrs`: evaluation i's wrapped point and Energy.  `fn(vecs, shots,
+    rngs)` is `engine.energy_rows` without its graph.
     """
 
     def __init__(self, fn, budget: int, depth: int = 1,
@@ -68,7 +67,9 @@ class MeteredObjective:
         self.shots = shots
         self.seed = seed
         self.calls = 0
-        self.trace: list[tuple[QaoaParams, EnergyValue]] = []
+        self.points = np.zeros((budget, 2 * depth))
+        self.means = np.zeros(budget)
+        self.stderrs = np.zeros(budget)
         self._rng = (None if shots is None
                      else np.random.Generator(np.random.Philox(0)))
         self._keys = None
@@ -79,17 +80,18 @@ class MeteredObjective:
         """Meter the energy of `g`.  Touches `g.cuts`, so a graph past the
         size cap fails here, before any evaluation."""
         g.cuts
-        obj = cls(partial(energy, g), budget, depth=depth, shots=shots,
+        obj = cls(partial(energy_rows, g), budget, depth=depth, shots=shots,
                   seed=seed)
         obj.graph = g
         return obj
 
     @classmethod
     def for_function(cls, fn, budget: int, depth: int = 1) -> "MeteredObjective":
-        """Meter an arbitrary params -> float map (test hook)."""
+        """Meter an arbitrary QaoaParams -> float map (test hook)."""
 
-        def wrapped(points, shots_, rngs) -> list[EnergyValue]:
-            return [EnergyValue(mean=float(fn(q))) for q in points]
+        def wrapped(vecs, shots_, rngs) -> Energy:
+            return Energy(np.array([float(fn(QaoaParams.of_row(row)))
+                                    for row in vecs]), np.zeros(len(vecs)))
 
         return cls(wrapped, budget, depth=depth, shots=None, seed=0)
 
@@ -98,15 +100,13 @@ class MeteredObjective:
         return self.budget - self.calls
 
     def __call__(self, points):
-        """Evaluate one QaoaParams, for its EnergyValue, or a batch, for a
-        list: a sequence of QaoaParams, or a (K, 2p) array of vectors
-        [betas, gammas], wrapped like `QaoaParams` wraps them.  A batch
-        larger than `remaining` is refused whole, and nothing is charged.
-        """
+        """The Energy of one QaoaParams, as floats, or of a (K, 2p) array
+        of vectors [betas, gammas], as (K,) arrays (`engine.energy`).  A
+        batch larger than `remaining` is refused whole, uncharged."""
         one = isinstance(points, QaoaParams)
-        batch = [points] if one else _as_params(points)
-        values = _ALONE._evaluate([(self, batch)])[0]
-        return values[0] if one else values
+        value = _ALONE._evaluate([(self, points.vector()[None] if one
+                                   else points)], wrapped=one)[0]
+        return value.point() if one else value
 
     def _stream(self, i: int):
         """The generator pointed at evaluation i's noise substream."""
@@ -122,27 +122,36 @@ class MeteredObjective:
             return None
         return energy(self.graph, params).mean
 
+    def best_row(self, since: int = 0) -> int:
+        """The first trace row of the highest mean from row `since` on."""
+        if since >= self.calls:
+            raise DomainError("empty trace has no best point")
+        return since + int(np.argmax(self.means[since:self.calls]))
+
     def result(self, since: int = 0) -> OptResult:
-        """Best-ever point over trace[since:] (first occurrence wins ties).
+        """Best-ever point from trace row `since` on (`best_row`).
 
         Every optimizer run ends here.  `best_exact` is the metered value
         itself in exact mode and an exact re-score in sampled mode.
         """
-        res = result_from_trace(self.trace[since:])
+        best = self.best_row(since)
+        res = OptResult(best_params=QaoaParams.of_row(self.points[best]),
+                        best_value=float(self.means[best]),
+                        evals_used=self.calls - since)
         res.best_exact = (res.best_value if self.shots is None
                           else self.exact_value(res.best_params))
         return res
 
 
 class Meter:
-    """The metered request path: a call takes requests (objective, points),
-    a list of QaoaParams each, and returns their EnergyValues.  It checks
+    """The metered request path: a call takes requests (objective, (k, 2p)
+    array of vectors) and returns an Energy per request.  It checks
     every budget first, evaluates the graph requests of one (n, shots) as
-    one stacked `energy` call, the points of one graph on its row, then
-    charges, traces and gives noise to each objective in order, as if
-    called alone.  Stacks are built once, of the graphs of `objs`, where a
-    kernel chunk holds more than one state (n <= 14).  A call with one
-    request is that objective's own call."""
+    one stacked `energy_rows` call, the points of one graph on its row,
+    then charges, traces and gives noise to each objective in order, as
+    if called alone.  Stacks are built once, of the graphs of `objs`,
+    where a kernel chunk holds more than one state (n <= 14).  A call
+    with one request is that objective's own call."""
 
     def __init__(self, objs=()):
         groups = {}
@@ -158,47 +167,59 @@ class Meter:
                                    for row, gid in enumerate(graphs)})
 
     def __call__(self, requests) -> list:
-        """The EnergyValues of each request, a list per request."""
+        """The Energy of each request."""
         if len(requests) == 1:
             obj, points = requests[0]
             return [obj(points)]
         return self._evaluate(requests)
 
-    def _evaluate(self, requests) -> list:
-        """`__call__` without the one-request shortcut."""
+    def _evaluate(self, requests, wrapped=False) -> list:
+        """`__call__` without the one-request shortcut.  A group's points
+        are wrapped together, elementwise like `QaoaParams` wraps them,
+        unless they come `wrapped`."""
+        requests = [(obj, np.asarray(points, dtype=np.float64))
+                    for obj, points in requests]
         if len({id(obj) for obj, _ in requests}) < len(requests):
             raise DomainError("an objective takes one request per call")
-        for obj, points in requests:
-            if len(points) > obj.remaining:
+        for obj, vecs in requests:
+            if vecs.ndim != 2 or vecs.shape[1] != 2 * obj.depth:
+                raise DomainError(f"points of shape {vecs.shape} for an "
+                                  f"objective of depth {obj.depth}")
+            if len(vecs) > obj.remaining:
                 raise BudgetExhaustedError(
-                    f"{len(points)} evaluations exceed the {obj.remaining} "
+                    f"{len(vecs)} evaluations exceed the {obj.remaining} "
                     f"left of a budget of {obj.budget}")
-        values = [[] for _ in requests]
+        values = [None] * len(requests)
         groups = {}
-        for k, (obj, points) in enumerate(requests):
+        for k, (obj, vecs) in enumerate(requests):
             g = obj.graph
             key = (None, id(obj)) if g is None else (g.n, obj.shots, id(g))
-            if points:
-                groups.setdefault(key[:2] if key in self._rows else key,
-                                  []).append(k)
+            groups.setdefault(key[:2] if key in self._rows else key,
+                              []).append(k)
         for key, members in groups.items():
             batch = [requests[k] for k in members]
             fn, shots = batch[0][0]._fn, batch[0][0].shots
             if key in self._stacks:
-                fn = partial(energy, self._stacks[key].on([
-                    self._rows[key + (id(obj.graph),)]
-                    for obj, points in batch for _ in points]))
+                fn = partial(energy_rows, self._stacks[key].on(np.repeat(
+                    [self._rows[key + (id(obj.graph),)] for obj, _ in batch],
+                    [len(vecs) for _, vecs in batch])))
             rngs = None if shots is None else (
                 obj._stream(obj.calls + i)
-                for obj, points in batch for i in range(len(points)))
-            out = iter(fn([q for _, points in batch for q in points], shots,
-                          rngs))
-            for k, (_, points) in zip(members, batch):
-                values[k] = [next(out) for _ in points]
-        for (obj, points), vals in zip(requests, values):
-            obj.calls += len(points)
-            obj.trace += zip(points, vals)
-        return values
+                for obj, vecs in batch for i in range(len(vecs)))
+            rows = np.concatenate([vecs for _, vecs in batch])
+            if not wrapped:
+                rows = wrap_angles(rows)
+            out = fn(rows, shots, rngs)
+            at = 0
+            for k, (_, vecs) in zip(members, batch):
+                part = slice(at, at + len(vecs))
+                values[k] = rows[part], Energy(out.mean[part], out.stderr[part])
+                at += len(vecs)
+        for (obj, _), (rows, value) in zip(requests, values):
+            lo, obj.calls = obj.calls, obj.calls + len(rows)
+            obj.points[lo:obj.calls] = rows
+            obj.means[lo:obj.calls], obj.stderrs[lo:obj.calls] = value
+        return [value for _, value in values]
 
 
 _ALONE = Meter()
@@ -212,29 +233,8 @@ def lockstep(objs, runs) -> None:
     meter = Meter(objs)
     live = [(obj, run, next(run)) for obj, run in zip(objs, runs)]
     while live:
-        values = meter([(obj, QaoaParams.rows(vecs))
-                        for obj, _, vecs in live])
+        values = meter([(obj, vecs) for obj, _, vecs in live])
         rounds, live = zip(live, values), []
-        for (obj, run, _), vals in rounds:
+        for (obj, run, _), value in rounds:
             with contextlib.suppress(StopIteration):
-                live.append((obj, run, run.send(
-                    np.array([value.mean for value in vals]))))
-
-
-def _as_params(points) -> list[QaoaParams]:
-    """A batch as a list: QaoaParams as given, vectors as `rows` builds
-    them."""
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-        if all(isinstance(q, QaoaParams) for q in points):
-            return points
-    return QaoaParams.rows(points)
-
-
-def result_from_trace(trace) -> OptResult:
-    if not trace:
-        raise DomainError("empty trace has no best point")
-    # the first of equal values wins, as max keeps it
-    best_q, best = max(trace, key=lambda step: step[1].mean)
-    return OptResult(best_params=best_q, best_value=best.mean,
-                     evals_used=len(trace), trace=list(trace))
+                live.append((obj, run, run.send(value.mean)))

@@ -20,8 +20,7 @@ from .engine import TWO_PI, QaoaParams, energy, energy_p1, wrap_angles
 from .errors import ConfigError, DomainError
 from .graphs import Graph
 from .nets import Adam, Mlp, init_mlp
-from .objective import (Meter, MeteredObjective, OptResult, lockstep,
-                        result_from_trace)
+from .objective import Meter, MeteredObjective, OptResult, lockstep
 from .baselines import simplex_steps
 from .seeding import derive_seed, stream_rng
 
@@ -43,7 +42,8 @@ class Walk:
     rows [df, dbeta_1..dbeta_p, dgamma_1..dgamma_p], df divided by the
     walk's normalizer, 0 until filled.  `states` is the same memory as
     (E, state_dim) policy inputs.  Walk e starts at `starts[e]`, else at a
-    uniform point drawn from `seeds[e]`, for one metered eval.
+    uniform point drawn from `seeds[e]`, for one metered eval; `starts`
+    is an (E, 2p) array of vectors, wrapped like `QaoaParams` wraps them.
 
     The E positions `current` are one wrapped (E, 2p) array; a step's E
     points are one-point requests of one `Meter` call.
@@ -54,22 +54,19 @@ class Walk:
         self._meter = Meter(self.objs)
         count, p = len(self.objs), self.objs[0].depth
         if starts is None:
-            raw = np.array([
+            starts = np.array([
                 stream_rng(derive_seed(seed, "reset"), "env-reset").uniform(
                     -math.pi, math.pi, 2 * p) for seed in seeds])
-            points = QaoaParams.rows(raw)
-            self.current = wrap_angles(raw)
-        else:
-            points = list(starts)
-            self.current = np.array([q.vector() for q in points])
-        self.f = self._values(points)
+        self.f = self._values(starts)
+        self.current = wrap_angles(starts)
         self.normalizers = np.asarray(normalizers, dtype=np.float64)
         self.states = np.zeros((count, state_dim(p)))
         self.history = self.states.reshape(count, HISTORY_LEN, -1)
 
-    def _values(self, points) -> np.ndarray:
-        values = self._meter([(obj, [q]) for obj, q in zip(self.objs, points)])
-        return np.array([value.mean for value, in values])
+    def _values(self, vecs) -> np.ndarray:
+        values = self._meter([(obj, vecs[e:e + 1])
+                              for e, obj in enumerate(self.objs)])
+        return np.array([value.mean[0] for value in values])
 
     def step(self, actions) -> np.ndarray:
         """Move each walk by its row of `actions`, bounded parameter steps
@@ -82,7 +79,7 @@ class Walk:
             raise DomainError(f"action components must stay in "
                               f"[-{ACTION_BOUND}, {ACTION_BOUND}]")
         raw = self.current + steps
-        f_next = self._values(QaoaParams.rows(raw))
+        f_next = self._values(raw)
         rewards = (f_next - self.f) / self.normalizers
         self.current = wrap_angles(raw)
         self.f = f_next
@@ -112,11 +109,9 @@ def reward_normalizer(g: Graph, p: int, n_probe: int = 500,
         gammas = TWO_PI * np.arange(2 * g.n - 1) / (2 * g.n - 1) - math.pi
         return float(np.mean(energy_p1(g, betas[:, None], gammas)))
     rng = stream_rng(seed, "normalizer")
-    points = QaoaParams.rows(rng.uniform(-math.pi, math.pi, (n_probe, 2 * p)))
-    total = 0.0
-    for value in energy(g, points):
-        total += value.mean
-    return total / n_probe
+    means = energy(g, rng.uniform(-math.pi, math.pi, (n_probe, 2 * p))).mean
+    # summed left to right, as a loop adds; np.sum would add pairwise
+    return float(np.cumsum(means)[-1] / n_probe)
 
 
 @dataclass
@@ -402,12 +397,13 @@ def rl_optimize(obj: MeteredObjective, bundle: PolicyBundle, seed: int,
                 start: QaoaParams | None = None) -> OptResult:
     """Mean-policy walk for half the budget, Nelder-Mead for the rest."""
     return rl_optimize_all([obj], bundle, [seed],
-                           None if start is None else [start])[0]
+                           None if start is None else start.vector()[None])[0]
 
 
 def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
                     starts=None) -> list[OptResult]:
-    """`rl_optimize` on each objs[k] with seeds[k] (and starts[k]), in
+    """`rl_optimize` on each objs[k] with seeds[k] (and row k of the
+    (K, 2p) vectors `starts`, wrapped like `QaoaParams` wraps them), in
     lockstep: one `Walk`, with one actor forward per step over a stack of
     one-row inputs, each run's row with the bits of its own forward,
     then one `objective.lockstep` of Nelder-Mead runs.  The objectives
@@ -428,14 +424,13 @@ def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
         1.0 if obj.graph is None else reward_normalizer(
             obj.graph, p, seed=derive_seed(seed, "norm"))
         for obj, seed in zip(objs, seeds)]
-    since = [len(obj.trace) for obj in objs]
+    since = [obj.calls for obj in objs]
     walk = Walk(objs, seeds, normalizers, starts)
     for _ in range(budget // 2 - 1):
         walk.step(np.clip(bundle.actor(walk.states[:, None])[:, 0],
                           -ACTION_BOUND, ACTION_BOUND))
-    lockstep(objs, [
-        simplex_steps(result_from_trace(obj.trace[k:]).best_params.vector(),
-                      obj.remaining) for obj, k in zip(objs, since)])
+    lockstep(objs, [simplex_steps(obj.points[obj.best_row(k)], obj.remaining)
+                    for obj, k in zip(objs, since)])
     return [obj.result(since=k) for obj, k in zip(objs, since)]
 
 

@@ -13,7 +13,7 @@ the same draws.  `stream_keys` derives the keys of a run of indexed
 streams (root, *path, i) at once: one SHA-256 per index, then numpy's
 SeedSequence mixing as uint32 array operations over all of them, so a
 sampled objective derives its whole budget's keys in one call.  A test
-pins these keys to numpy's own `SeedSequence`; `reseed` derives one key.
+pins these keys to numpy's own `SeedSequence`.
 """
 
 import hashlib
@@ -135,12 +135,6 @@ def point(rng: np.random.Generator, key) -> np.random.Generator:
         "buffer": _COUNTER0, "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
     return rng
-
-
-def reseed(rng: np.random.Generator, root: int, *path) -> np.random.Generator:
-    """`point` `rng` at the substream addressed by (root, *path): its
-    draws are then those of `stream_rng(root, *path)`."""
-    return point(rng, seed_sequence(root, *path).generate_state(4).view("<u8"))
 
 
 def derive_seed(root: int, *path) -> int:

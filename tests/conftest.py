@@ -15,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from qaoabench.engine import QaoaParams, landscape_grid
+from qaoabench.engine import QaoaParams, energy, landscape_grid
 from qaoabench.errors import DomainError
 from qaoabench.graphs import Graph
 from qaoabench.kde import sample_vectors
+from qaoabench.seeding import point, seed_sequence, stream_rng
 
 
 def cuts_py(n, edges):
@@ -141,7 +142,20 @@ def grid_oracle_best(g, resolution):
 
 def kde_sample(model, m, seed):
     """`m` mixture draws of `model` as QaoaParams."""
-    return QaoaParams.rows(sample_vectors(model, m, seed))
+    return [QaoaParams.from_vector(vec)
+            for vec in sample_vectors(model, m, seed)]
+
+
+def expectation_sampled(g, params, shots, seed):
+    """Energy of one QaoaParams from `shots` simulated measurements, drawn
+    from the substream (seed, "shots"); deterministic per seed."""
+    return energy(g, params, shots, stream_rng(seed, "shots"))
+
+
+def reseed(rng, root, *path):
+    """`point` `rng` at the substream addressed by (root, *path): its
+    draws are then those of `stream_rng(root, *path)`."""
+    return point(rng, seed_sequence(root, *path).generate_state(4).view("<u8"))
 
 
 def kde_density(model, x) -> float:

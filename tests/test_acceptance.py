@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import cuts_np, dense_reference, full_state, random_graph
+from conftest import (cuts_np, dense_reference, expectation_sampled,
+                      full_state, random_graph)
 from qaoabench.baselines import multistart_collect
 from qaoabench.bench import (BenchConfig, approximation_ratios, gap_reduction,
                              optimality_ratios, run_bench, suite_cut_values)
 from qaoabench.cli import main as cli_main
-from qaoabench.engine import QaoaParams, energy, evolve, expectation_sampled
+from qaoabench.engine import QaoaParams, energy, evolve
 from qaoabench.graphs import Graph, group_of, instance_id, max_cut_bruteforce
 from qaoabench.kde import KdeModel, kde_fit, sample_vectors
 from qaoabench.nets import Adam

@@ -7,6 +7,8 @@ import pytest
 
 from conftest import grid_oracle_best
 from qaoabench.baselines import (
+    _pairs,
+    _simplex_diameter,
     multistart_collect,
     nelder_mead,
     random_search,
@@ -89,8 +91,8 @@ def test_nelder_mead_trace_keeps_meter_sign():
     # energies, which are nonnegative for any graph
     obj = MeteredObjective.for_graph(gen_ladder(2), depth=1, budget=30)
     res = nelder_mead(obj, QaoaParams([0.3], [-0.4]))
-    assert all(ev.mean >= 0.0 for _, ev in res.trace)
-    assert res.best_value == max(ev.mean for _, ev in res.trace)
+    assert all(obj.means[:obj.calls] >= 0.0)
+    assert res.best_value == max(obj.means[:obj.calls])
 
 
 def test_nelder_mead_never_below_start_simplex():
@@ -100,7 +102,7 @@ def test_nelder_mead_never_below_start_simplex():
         x0 = QaoaParams.from_vector(rng.uniform(-math.pi, math.pi, 2))
         obj = MeteredObjective.for_graph(g, depth=1, budget=60)
         res = nelder_mead(obj, x0)
-        start_best = max(ev.mean for _, ev in res.trace[:4])
+        start_best = max(obj.means[:4])
         assert res.best_value >= start_best
 
 
@@ -128,9 +130,22 @@ def test_nelder_mead_after_earlier_spending():
     outside = QaoaParams([math.pi / 8], [math.pi / 2])  # the exact optimum
     obj(outside)
     res = nelder_mead(obj, QaoaParams([-0.5], [-2.0]))
-    assert res.evals_used == len(res.trace) == obj.calls - 1
-    assert res.best_params is not outside
-    assert any(p is res.best_params for p, _ in obj.trace[1:])
+    assert res.evals_used == obj.calls - 1
+    assert obj.best_row() == 0 and res.best_value < obj.means[0]
+    assert res.best_params.vector().tolist() in obj.points[1:].tolist()
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_simplex_diameter_equals_the_per_pair_dots(d):
+    # the stacked product takes each pair's dot as x.dot(x) does, so the
+    # stop test reads the same bits
+    rng = np.random.default_rng(d)
+    for scale in (1.0, 1e-4, 1e-9):
+        for _ in range(200):
+            pts = rng.uniform(-math.pi, math.pi, (d + 1, d)) * scale
+            first, second = _pairs(d + 1)
+            want = math.sqrt(max(x.dot(x) for x in pts[first] - pts[second]))
+            assert _simplex_diameter(pts) == want
 
 
 def test_multistart_single_start_admits_itself():

@@ -25,7 +25,9 @@ from qaoabench.seeding import stream_rng
 
 
 def _points(rng, p, count):
-    return QaoaParams.rows(rng.uniform(-4.0, 4.0, (count, 2 * p)))
+    """(count, 2p) raw vectors and the QaoaParams of each."""
+    vecs = rng.uniform(-4.0, 4.0, (count, 2 * p))
+    return vecs, [QaoaParams.from_vector(vec) for vec in vecs]
 
 
 def test_batched_evolve_equals_single_evolves():
@@ -35,27 +37,44 @@ def test_batched_evolve_equals_single_evolves():
         # two chunks and a partial third, one point per chunk from n = 15
         chunk = max(1, kernels.SLICE >> (n - 1))
         for p in (1, 2, 4):
-            points = _points(rng, p, 2 * chunk + 1 if n >= 9 else 5)
-            batch = evolve(g, points)
+            vecs, points = _points(rng, p, 2 * chunk + 1 if n >= 9 else 5)
+            batch = evolve(g, vecs)
             assert batch.shape == (len(points), 1 << (n - 1))
             for row, q in zip(batch, points):
                 assert np.max(np.abs(row - evolve(g, q))) < 1e-12, (n, p)
 
 
+def _point_by_point(values):
+    """The Energy of each point of a batch's Energy."""
+    return [values.point(k) for k in range(len(values.mean))]
+
+
 def test_batched_energy_equals_single_energies_bit_for_bit():
+    # a (K, 2p) array against the same points one QaoaParams at a time,
+    # on a Graph and on a GraphStack, exact and sampled, over two kernel
+    # chunks and part of a third
     rng = np.random.default_rng(15)
     for n in (3, 6, 9, 12):
-        g = random_graph(rng, n, n)
-        points = _points(rng, 2, 2 * max(1, kernels.SLICE >> (n - 1)) + 3)
-        assert [ev.mean for ev in energy(g, points)] == [
-            energy(g, q).mean for q in points]
+        graphs = [random_graph(rng, n, n) for _ in range(3)]
+        vecs, points = _points(rng, 2,
+                               2 * max(1, kernels.SLICE >> (n - 1)) + 3)
+        rows = np.arange(len(points)) % len(graphs)
+        for g, on in ((graphs[0], [0] * len(points)),
+                      (GraphStack(graphs).on(rows), rows)):
+            for shots in (None, 1000):
+                keys = range(len(points)) if shots else ()
+                batch = energy(g, vecs, shots,
+                               (stream_rng(3, "batch", k) for k in keys))
+                assert _point_by_point(batch) == [
+                    energy(graphs[r], q, shots, stream_rng(3, "batch", k))
+                    for k, (r, q) in enumerate(zip(on, points))], (n, shots)
 
 
 @pytest.mark.parametrize("shots", [None, 64])
 def test_batch_call_equals_single_calls(shots):
     g = gen_ladder(4)
     rng = np.random.default_rng(16)
-    points = _points(rng, 2, 150)
+    vecs, points = _points(rng, 2, 150)
     single = MeteredObjective.for_graph(g, depth=2, budget=200, shots=shots,
                                         seed=3)
     batch = MeteredObjective.for_graph(g, depth=2, budget=200, shots=shots,
@@ -63,10 +82,13 @@ def test_batch_call_equals_single_calls(shots):
     single(points[0])
     batch(points[0])
     values = [single(q) for q in points[1:]]
-    assert batch(points[1:]) == values
+    assert _point_by_point(batch(vecs[1:])) == values
     assert single.calls == batch.calls == len(points)
-    assert [q for q, _ in batch.trace] == points
-    assert [ev for _, ev in single.trace] == [ev for _, ev in batch.trace]
+    np.testing.assert_array_equal(
+        batch.points[:batch.calls], [q.vector() for q in points])
+    for trace in ("points", "means", "stderrs"):
+        np.testing.assert_array_equal(getattr(single, trace),
+                                      getattr(batch, trace))
 
 
 def test_batch_of_vectors_is_wrapped_like_params():
@@ -75,23 +97,22 @@ def test_batch_of_vectors_is_wrapped_like_params():
     vecs = rng.uniform(-9.0, 9.0, (6, 2))
     obj = MeteredObjective.for_graph(g, depth=1, budget=6)
     values = obj(vecs)
-    for (q, ev), vec in zip(obj.trace, vecs):
+    for k, vec in enumerate(vecs):
         want = QaoaParams.from_vector(vec)
-        np.testing.assert_array_equal(q.vector(), want.vector())
-        assert ev == energy(g, want)
-    assert values == [ev for _, ev in obj.trace]
+        np.testing.assert_array_equal(obj.points[k], want.vector())
+        assert values.point(k) == energy(g, want)
+    assert values.mean.tolist() == obj.means.tolist()
 
 
 def test_over_budget_batch_is_refused_whole():
     g = gen_ladder(2)
     obj = MeteredObjective.for_graph(g, depth=1, budget=5, shots=32, seed=1)
     obj(QaoaParams([0.1], [0.2]))
-    trace = list(obj.trace)
     with pytest.raises(BudgetExhaustedError):
         obj(np.zeros((5, 2)))
     assert obj.calls == 1
-    assert obj.trace == trace
-    assert len(obj(np.zeros((4, 2)))) == 4
+    assert obj.means[1:].tolist() == [0.0] * 4
+    assert len(obj(np.zeros((4, 2))).mean) == 4
     assert obj.remaining == 0
     with pytest.raises(DomainError):
         obj(np.zeros(2))
@@ -103,10 +124,12 @@ def test_for_function_objectives_accept_batches():
 
     obj = MeteredObjective.for_function(fn, budget=10, depth=1)
     values = obj(np.array([[0.5, 0.0], [0.0, 7.0]]))
-    assert [ev.mean for ev in values] == [
-        -0.25, -float((7.0 - 2 * math.pi) ** 2)]
-    assert obj.calls == 2 and len(obj.trace) == 2
-    assert obj([]) == [] and obj.calls == 2
+    assert values.mean.tolist() == [-0.25, -float((7.0 - 2 * math.pi) ** 2)]
+    assert values.stderr.tolist() == [0.0, 0.0]
+    assert obj.calls == 2
+    assert obj(np.zeros((0, 2))).mean.size == 0 and obj.calls == 2
+    with pytest.raises(DomainError):
+        obj(np.zeros((1, 4)))
 
 
 # The first three points of the one-point-at-a-time loops these replaced,
@@ -133,14 +156,14 @@ def test_batched_optimizers_keep_the_pinned_traces():
     g = gen_ladder(3)
     obj = MeteredObjective.for_graph(g, depth=2, budget=12, shots=256, seed=4)
     random_search(obj, seed=7)
-    assert [q.vector().tolist() for q, _ in obj.trace[:3]] == RANDOM_PINNED
-    assert [ev.mean for _, ev in obj.trace[:3]] == RANDOM_MEANS
+    assert obj.points[:3].tolist() == RANDOM_PINNED
+    assert obj.means[:3].tolist() == RANDOM_MEANS
     model = kde_fit([[0.3, -0.2, 0.5, 1.0], [2.9, 0.1, -3.0, 0.4]],
                     bandwidth=0.5)
     obj = MeteredObjective.for_graph(g, depth=2, budget=12, shots=256, seed=4)
     kde_optimize(obj, model, seed=7)
-    assert [q.vector().tolist() for q, _ in obj.trace[:3]] == KDE_PINNED
-    assert [ev.mean for _, ev in obj.trace[:3]] == KDE_MEANS
+    assert obj.points[:3].tolist() == KDE_PINNED
+    assert obj.means[:3].tolist() == KDE_MEANS
 
 
 # --- stacks: one point per graph, one kernel batch per n -------------------
@@ -159,23 +182,23 @@ def test_stacked_energy_equals_single_energies_bit_for_bit():
         graphs = [_graph(rng, n, m) for m in (1, 3, n, 2)]
         graphs.append(graphs[1])
         stack = GraphStack(graphs)
-        points = _points(rng, 2, len(graphs))
-        assert [ev.mean for ev in energy(stack, points)] == [
+        vecs, points = _points(rng, 2, len(graphs))
+        assert energy(stack, vecs).mean.tolist() == [
             energy(g, q).mean for g, q in zip(graphs, points)]
-        sampled = energy(stack, points, 64,
+        sampled = energy(stack, vecs, 64,
                          (stream_rng(5, "stack", k) for k in range(5)))
-        assert sampled == [
+        assert _point_by_point(sampled) == [
             energy(g, q, 64, stream_rng(5, "stack", k))
             for k, (g, q) in enumerate(zip(graphs, points))]
-        frames = evolve(stack, points)
+        frames = evolve(stack, vecs)
         for row, g, q in zip(frames, graphs, points):
             np.testing.assert_array_equal(row, evolve(g, q))
         # the points of one graph share its row of a stack
         rows = [0, 2, 2, 1, 0]
         shared = GraphStack(graphs[:3]).on(rows)
-        assert [ev.mean for ev in energy(shared, points)] == [
+        assert energy(shared, vecs).mean.tolist() == [
             energy(graphs[r], q).mean for r, q in zip(rows, points)]
-        for row, r, q in zip(evolve(shared, points), rows, points):
+        for row, r, q in zip(evolve(shared, vecs), rows, points):
             np.testing.assert_array_equal(row, evolve(graphs[r], q))
 
 
@@ -189,16 +212,17 @@ def test_stacked_sampled_energy_equals_single_energies(shots):
     n = 9
     graphs = [_graph(rng, n, m) for m in (0, 2, 5, 9, 16, 24)]
     count = 2 * kernels.SLICE >> (n - 1)
-    points = _points(rng, 1, count)
+    vecs, points = _points(rng, 1, count)
     # every level count in a chunk, then only the 17 of the 16-edge graph
     # on the stack's 25-level stride
     for rows in (np.arange(count) % len(graphs), [4] * count):
-        sampled = energy(GraphStack(graphs).on(rows), points, shots,
+        sampled = energy(GraphStack(graphs).on(rows), vecs, shots,
                          (stream_rng(8, "stack", k) for k in range(count)))
-        assert sampled == [
+        assert _point_by_point(sampled) == [
             energy(graphs[r], q, shots, stream_rng(8, "stack", k))
             for k, (r, q) in enumerate(zip(rows, points))]
-        assert shots == 1 or all(ev.stderr > 0 for ev in sampled
+        assert shots == 1 or all(ev.stderr > 0
+                                 for ev in _point_by_point(sampled)
                                  if ev.mean not in (0, 24))
 
 
@@ -209,7 +233,7 @@ def test_graph_stacks_refuse_mixed_n_and_other_counts():
         GraphStack([])
     stack = GraphStack([gen_ladder(3), gen_ladder(3)])
     with pytest.raises(DomainError):
-        energy(stack, [QaoaParams([0.1], [0.2])] * 3)
+        energy(stack, np.zeros((3, 2)))
 
 
 def _objective(g, p, shots, seed, budget):
@@ -251,10 +275,10 @@ def _assert_walks_agree(stacked, singles, actions):
         assert one.current.tolist() == [stacked.current[e].tolist()]
         assert one.states.tolist() == [stacked.states[e].tolist()]
         obj, alone = stacked.objs[e], one.objs[0]
-        assert obj.calls == alone.calls == len(obj.trace)
-        assert [ev for _, ev in obj.trace] == [ev for _, ev in alone.trace]
-        assert [q.vector().tolist() for q, _ in obj.trace] == [
-            q.vector().tolist() for q, _ in alone.trace]
+        assert obj.calls == alone.calls == obj.budget
+        for trace in ("points", "means", "stderrs"):
+            assert getattr(obj, trace).tolist() == getattr(alone,
+                                                           trace).tolist()
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -301,7 +325,7 @@ def test_stacked_step_over_one_budget_charges_nothing(monkeypatch):
                                        budget=b, shots=32, seed=m)
             for m, b in ((5, 4), (8, 1), (3, 4))]
     walk = Walk(objs, [1, 2, 3], [1.0, 1.0, 1.0])
-    before = [(obj.calls, list(obj.trace)) for obj in objs]
+    before = [(obj.calls, obj.means.tolist()) for obj in objs]
     current, f = walk.current.copy(), walk.f.copy()
     evals = []
     monkeypatch.setattr(kernels, "apply_mixer",
@@ -309,16 +333,16 @@ def test_stacked_step_over_one_budget_charges_nothing(monkeypatch):
     with pytest.raises(BudgetExhaustedError):
         walk.step(np.zeros((3, 2)))
     assert evals == []
-    assert [(obj.calls, obj.trace) for obj in objs] == before
+    assert [(obj.calls, obj.means.tolist()) for obj in objs] == before
     np.testing.assert_array_equal(walk.current, current)
     np.testing.assert_array_equal(walk.f, f)
 
 
 def test_requests_take_each_objective_once():
     obj = MeteredObjective.for_graph(gen_ladder(2), depth=1, budget=4)
-    q = QaoaParams([0.1], [0.2])
+    q = np.array([[0.1, 0.2]])
     with pytest.raises(DomainError):
         Walk([obj, obj], [1, 2], [1.0, 1.0])
     with pytest.raises(DomainError):
-        Meter([obj])([(obj, [q]), (obj, [q])])
+        Meter([obj])([(obj, q), (obj, q)])
     assert obj.calls == 0

@@ -79,10 +79,10 @@ def test_config_validation():
 def test_shared_start_deterministic():
     a = _shared_start(0, "x", 2, 3)
     b = _shared_start(0, "x", 2, 3)
-    np.testing.assert_array_equal(a.vector(), b.vector())
-    assert a.p == 2
+    np.testing.assert_array_equal(a, b)
+    assert a.shape == (4,)
     c = _shared_start(0, "x", 2, 4)
-    assert not np.array_equal(a.vector(), c.vector())
+    assert not np.array_equal(a, c)
 
 
 def test_run_bench_cardinality_and_order(tiny_suite, small_records):

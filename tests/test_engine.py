@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (PIN_CAVE24_P2, PIN_ER8_P1, cuts_py, dense_energy,
-                      dense_reference, full_state, level_probs, random_graph,
-                      statevector_reference)
+                      dense_reference, expectation_sampled, full_state,
+                      level_probs, random_graph, statevector_reference)
 from qaoabench.engine import (
-    EnergyValue,
+    Energy,
     LandscapeGrid,
     QaoaParams,
     energy,
     energy_p1,
     evolve,
-    expectation_sampled,
     landscape_grid,
     wrap_angles,
 )
@@ -75,8 +74,10 @@ def test_energy_is_2pi_periodic(beta, gamma, kb, kg):
 
 
 def test_energy_value_defaults():
-    ev = EnergyValue(mean=1.5)
-    assert ev.shots == 0 and ev.stderr == 0.0
+    # one point gives floats, exact mode a stderr of 0
+    ev = energy(K2, QaoaParams([0.3], [0.4]))
+    assert type(ev) is Energy
+    assert type(ev.mean) is float and ev.stderr == 0.0
 
 
 def test_cut_diagonal_k2():
@@ -300,7 +301,8 @@ def test_energy_refuses_fewer_than_one_shot(shots):
     with pytest.raises(DomainError, match="shots must be >= 1"):
         energy(K2, q, shots, stream_rng(0, "shots"))
     with pytest.raises(DomainError, match="shots must be >= 1"):
-        energy(K2, [q, q], shots, (stream_rng(0, k) for k in range(2)))
+        energy(K2, np.full((2, 2), 0.1), shots,
+               (stream_rng(0, k) for k in range(2)))
 
 
 def test_sampled_points_without_a_generator_are_refused():
@@ -308,14 +310,15 @@ def test_sampled_points_without_a_generator_are_refused():
     with pytest.raises(DomainError, match="point 0 has no generator"):
         energy(K2, q, 64)
     with pytest.raises(DomainError, match="point 0 has no generator"):
-        energy(K2, [q, q], 64)
+        energy(K2, np.full((2, 2), 0.1), 64)
     with pytest.raises(DomainError, match="point 2 has no generator"):
-        energy(K2, [q] * 4, 64, (stream_rng(0, k) for k in range(2)))
+        energy(K2, np.full((4, 2), 0.1), 64,
+               (stream_rng(0, k) for k in range(2)))
 
 
 def test_sampled_single_shot_and_edgeless():
     ev = expectation_sampled(K2, QaoaParams([0.3], [0.4]), 1, seed=0)
-    assert ev.shots == 1 and ev.stderr == 0.0
+    assert ev.stderr == 0.0
     empty = expectation_sampled(Graph(3, ()), QaoaParams([0.3], [0.4]), 64, seed=0)
     assert empty.mean == 0.0 and empty.stderr == 0.0
 

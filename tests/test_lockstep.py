@@ -62,27 +62,33 @@ def _runs(test_set):
 
 
 def _same(a, b):
-    assert (a.best_value, a.best_exact, a.evals_used) == (
-        b.best_value, b.best_exact, b.evals_used)
-    assert [q.vector().tolist() for q, _ in a.trace] == [
-        q.vector().tolist() for q, _ in b.trace]
-    assert [ev for _, ev in a.trace] == [ev for _, ev in b.trace]
+    """Objectives a and b hold the same trace."""
+    assert a.calls == b.calls
+    for trace in ("points", "means", "stderrs"):
+        assert getattr(a, trace).tolist() == getattr(b, trace).tolist()
+
+
+def _same_result(a, b):
+    assert (a.best_params.vector().tolist(), a.best_value, a.best_exact,
+            a.evals_used) == (b.best_params.vector().tolist(), b.best_value,
+                              b.best_exact, b.evals_used)
 
 
 def test_lockstep_nelder_mead_equals_runs_alone(test_set):
     runs = _runs(test_set)
     objs = [make() for make, _, _ in runs]
-    together = nelder_mead_all(objs, [x0 for _, x0, _ in runs])
+    together = nelder_mead_all(objs, [x0.vector() for _, x0, _ in runs])
     for obj, res, (make, x0, end) in zip(objs, together, runs):
         alone = make()
-        _same(res, nelder_mead(alone, x0))
-        assert obj.trace == res.trace
+        _same_result(res, nelder_mead(alone, x0))
+        _same(obj, alone)
+        assert res.evals_used == obj.calls
         if end == "diameter":
             assert res.evals_used < obj.budget
         else:
             assert res.evals_used == obj.budget
         if end == "expand":
-            values = [ev.mean for _, ev in res.trace]
+            values = obj.means[:obj.calls]
             assert values[-1] > max(values[:-1])
 
 
@@ -93,7 +99,8 @@ def _cell_alone(spec, g, depth, optimizer, attempt, cfg, bundle):
         g, depth=depth, budget=cfg.budget, shots=cfg.shots,
         seed=derive_seed(cfg.seed, "cell-noise", iid, depth, optimizer,
                          attempt))
-    start = _shared_start(cfg.seed, iid, depth, attempt)
+    start = QaoaParams.from_vector(_shared_start(cfg.seed, iid, depth,
+                                                 attempt))
     if optimizer == "nm":
         res = nelder_mead(obj, start)
     else:
@@ -186,9 +193,13 @@ def test_meter_stacks_graphs_only_where_a_chunk_holds_several_states(
             for k, g in enumerate(graphs)]
     meter = objective.Meter(objs)
     assert built == [(8, 2)]
-    q = QaoaParams([0.3], [0.5])
-    values = meter([(obj, [q, q]) for obj in objs])
+    pair = np.array([[0.3, 0.5], [0.3, 0.5]])
+    values = meter([(obj, pair) for obj in objs])
     for obj, g, got in zip(objs, graphs, values):
         alone = MeteredObjective.for_graph(g, depth=1, budget=2, shots=32,
                                            seed=obj.seed)
-        assert got == alone([q, q]) == [ev for _, ev in obj.trace]
+        want = alone(pair)
+        assert got.mean.tolist() == want.mean.tolist() == obj.means.tolist()
+        assert got.stderr.tolist() == want.stderr.tolist() \
+            == obj.stderrs.tolist()
+        _same(obj, alone)

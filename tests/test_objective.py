@@ -9,7 +9,7 @@ from qaoabench.engine import QaoaParams, energy
 from qaoabench.errors import BudgetExhaustedError, DomainError
 from qaoabench.graphs import Graph, gen_ladder
 from qaoabench.kde import kde_fit, kde_optimize
-from qaoabench.objective import MeteredObjective, result_from_trace
+from qaoabench.objective import MeteredObjective
 from qaoabench.seeding import stream_rng
 
 
@@ -24,7 +24,7 @@ def test_budget_is_hard():
     with pytest.raises(BudgetExhaustedError):
         obj(P0)
     assert obj.calls == 3  # the refused call is not counted
-    assert len(obj.trace) == 3
+    assert obj.points.shape == (3, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -34,7 +34,8 @@ def test_trace_length_equals_calls(budget):
     used = budget // 2 + 1
     for _ in range(used):
         obj(P0)
-    assert obj.calls == used == len(obj.trace)
+    assert obj.calls == used
+    assert obj.means[:used].tolist() == [P0.betas[0]] * used
     assert obj.remaining == budget - used
 
 
@@ -51,8 +52,8 @@ def test_exact_mode_matches_expectation():
     g = gen_ladder(3)
     obj = MeteredObjective.for_graph(g, depth=1, budget=4)
     ev = obj(P0)
-    assert ev.shots == 0
-    assert ev.mean == energy(g, P0).mean
+    assert ev.stderr == 0.0
+    assert ev == energy(g, P0)
 
 
 def test_noise_is_reproducible_and_per_call():
@@ -72,10 +73,14 @@ def test_evaluation_i_draws_its_metered_substream():
     # substreams (seed, "metered", i), alone or in a batch
     g = gen_ladder(2)
     obj = MeteredObjective.for_graph(g, depth=1, budget=8, shots=64, seed=4)
-    points = QaoaParams.rows(np.linspace(-1.0, 1.0, 16).reshape(8, 2))
-    got = [obj(points[0])] + obj(points[1:5]) + obj(points[5:])
-    assert got == [energy(g, q, 64, stream_rng(4, "metered", i))
-                   for i, q in enumerate(points)]
+    vecs = np.linspace(-1.0, 1.0, 16).reshape(8, 2)
+    first = obj(QaoaParams.from_vector(vecs[0]))
+    rest = [obj(vecs[1:5]), obj(vecs[5:])]
+    got = [first] + [value.point(k) for value in rest
+                     for k in range(len(value.mean))]
+    assert got == [energy(g, QaoaParams.from_vector(vec), 64,
+                          stream_rng(4, "metered", i))
+                   for i, vec in enumerate(vecs)]
 
 
 def test_result_exact_mode():
@@ -88,15 +93,14 @@ def test_result_exact_mode():
         obj(q)
     res = obj.result()
     assert res.evals_used == 3
-    assert res.best_params is points[0]
-    assert res.best_value == max(ev.mean for _, ev in obj.trace)
+    assert res.best_params.vector().tolist() == points[0].vector().tolist()
+    assert res.best_value == max(obj.means[:3])
     assert res.best_exact == res.best_value
     assert res.best_exact == energy(g, res.best_params).mean
     tail = obj.result(since=1)
     assert tail.evals_used == 2
-    assert tail.trace == obj.trace[1:]
-    assert tail.best_params is points[1]
-    assert tail.best_value == obj.trace[1][1].mean < res.best_value
+    assert tail.best_params.vector().tolist() == points[1].vector().tolist()
+    assert tail.best_value == obj.means[1] < res.best_value
     assert tail.best_exact == tail.best_value
 
 
@@ -110,8 +114,9 @@ def test_result_sampled_mode_rescored_exactly():
     assert obj.calls == 3  # re-scoring did not consume budget
     tail = obj.result(since=1)
     assert tail.evals_used == 2
-    assert tail.best_params in (obj.trace[1][0], obj.trace[2][0])
-    assert tail.best_value == max(obj.trace[1][1].mean, obj.trace[2][1].mean)
+    assert tail.best_params.vector().tolist() in (obj.points[1].tolist(),
+                                                  obj.points[2].tolist())
+    assert tail.best_value == max(obj.means[1], obj.means[2])
     assert tail.best_exact == energy(g, tail.best_params).mean
     assert obj.calls == 3
 
@@ -119,16 +124,37 @@ def test_result_sampled_mode_rescored_exactly():
 def test_result_from_trace_first_tie_wins():
     obj = MeteredObjective.for_function(lambda p: 1.0, budget=5)
     p1 = QaoaParams([0.1], [0.1])
-    p2 = QaoaParams([0.2], [0.2])
     obj(p1)
-    obj(p2)
-    res = result_from_trace(obj.trace)
-    assert res.best_params is p1
+    obj(np.array([[0.2, 0.2], [0.3, 0.3]]))
+    assert obj.best_row() == 0 and obj.best_row(since=1) == 1
+    assert obj.result().best_params.vector().tolist() == p1.vector().tolist()
 
 
 def test_result_from_trace_empty():
+    obj = MeteredObjective.for_function(lambda p: 1.0, budget=5)
     with pytest.raises(DomainError):
-        result_from_trace([])
+        obj.result()
+    obj(QaoaParams([0.1], [0.1]))
+    with pytest.raises(DomainError):
+        obj.result(since=1)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_result_best_params_is_its_trace_row_bit_for_bit(shots):
+    # raw points near the seam, where wrapping a wrapped angle again
+    # could move its last bits
+    obj = MeteredObjective.for_graph(gen_ladder(3), depth=2, budget=40,
+                                     shots=shots, seed=3)
+    rng = np.random.default_rng(5)
+    obj(rng.uniform(-9.0, 9.0, (20, 4)))
+    obj(np.pi * rng.choice([-1.0, 1.0], (20, 4))
+        + rng.uniform(-1e-15, 1e-15, (20, 4)))
+    assert (obj.points == np.pi).any()
+    for since in (0, 7, *range(20, 40)):
+        res = obj.result(since)
+        best = obj.best_row(since)
+        assert res.best_params.vector().tobytes() == obj.points[best].tobytes()
+        assert res.best_value == obj.means[best] == max(obj.means[since:])
 
 
 def test_for_function_hook():

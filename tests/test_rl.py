@@ -103,7 +103,7 @@ def test_state_dim():
 def one_walk(obj, seed=0, normalizer=1.0, start=None):
     """The landscape environment: a one-row Walk."""
     return Walk([obj], [seed], [normalizer],
-                None if start is None else [start])
+                None if start is None else start.vector()[None])
 
 
 def test_env_reset_shape_and_cost():
@@ -113,7 +113,7 @@ def test_env_reset_shape_and_cost():
     assert walk.history.shape == (1, HISTORY_LEN, 3)
     assert np.all(walk.history == 0.0)
     assert walk.states.shape == (1, 12)
-    assert walk.f[0] == energy(K2, obj.trace[0][0]).mean
+    assert walk.f[0] == energy(K2, QaoaParams.of_row(obj.points[0])).mean
 
 
 def test_env_reset_deterministic_and_start_override():
@@ -123,7 +123,7 @@ def test_env_reset_deterministic_and_start_override():
     fixed = QaoaParams([0.3], [0.9])
     obj = k2_objective()
     c = one_walk(obj, seed=4, start=fixed)
-    assert obj.trace[0][0] is fixed
+    np.testing.assert_array_equal(obj.points[0], fixed.vector())
     np.testing.assert_array_equal(c.current[0], fixed.vector())
 
 
@@ -175,8 +175,8 @@ def test_env_rewards_telescope():
     total = 0.0
     for _ in range(20):
         total += walk.step(rng.uniform(-ACTION_BOUND, ACTION_BOUND, (1, 2)))[0]
-    f0 = obj.trace[0][1].mean
-    f_end = obj.trace[-1][1].mean
+    f0 = obj.means[0]
+    f_end = obj.means[obj.calls - 1]
     assert abs(total * norm - (f_end - f0)) < 1e-9
 
 
@@ -633,8 +633,8 @@ def test_rl_optimize_rescores_once(monkeypatch):
     assert len(rescored) == 1 and rescored[0] is res.best_params
     # the result is the whole run's, as obj.result reports it
     expected = obj.result()
-    assert res.best_params is expected.best_params
-    assert res.trace == expected.trace == obj.trace
+    assert res.best_params.vector().tolist() == \
+        expected.best_params.vector().tolist()
     assert (res.best_value, res.evals_used, res.best_exact) == (
         expected.best_value, expected.evals_used, expected.best_exact)
     assert res.best_exact == energy(K2, res.best_params).mean
@@ -646,7 +646,7 @@ def test_rl_optimize_budget_accounting():
     res = rl_optimize(obj, bundle, seed=23)
     assert res.evals_used <= 40
     assert obj.calls == res.evals_used
-    assert res.best_value == max(ev.mean for _, ev in res.trace)
+    assert res.best_value == max(obj.means[:obj.calls])
     assert res.best_exact is not None
 
 
@@ -674,7 +674,7 @@ def test_rl_optimize_deterministic_and_start():
     start = QaoaParams([0.2], [0.4])
     obj = k2_objective(budget=24)
     res = rl_optimize(obj, bundle, seed=24, start=start)
-    np.testing.assert_array_equal(obj.trace[0][0].vector(), start.vector())
+    np.testing.assert_array_equal(obj.points[0], start.vector())
     assert res.evals_used <= 24
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qaoabench.seeding import (STREAM_VERSION, derive_seed, point, reseed,
+from conftest import reseed
+from qaoabench.seeding import (STREAM_VERSION, derive_seed, point,
                                seed_sequence, stream_keys, stream_rng)
 
 

@@ -9,20 +9,24 @@ digest over all of them.  The sampled bench runs a second time with
 its `records.csv` differs from the serial run's.
 `manifest.json` files are left out: they name their input paths, which
 differ between checkouts.  A refactor that is meant to change no result
-must print the same combined digest before and after.  The last line,
-`src_lines <N>`, is the line count of `src/qaoabench/*.py` (as
-`cat src/qaoabench/*.py | wc -l` counts it), the size a refactor reports
-next to its digest.
+must print the same combined digest before and after.  The last lines
+give the size a refactor reports next to its digest: `src_lines <N>`, the
+line count of `src/qaoabench/*.py` (as `cat src/qaoabench/*.py | wc -l`
+counts it), and `code_lines <N>`, the lines of those files that hold a
+token other than a comment, a docstring or whitespace.
 
     python3 tools/artifact_digest.py
 
 The package is imported from the `src/` directory next to this script.
 """
 
+import ast
 import contextlib
 import hashlib
+import io
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -78,6 +82,28 @@ def _run(argv) -> int:
     return status
 
 
+# tokens that hold no code
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold a token other than a comment, a
+    docstring (found with `ast`) or whitespace."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            docstrings.add((node.body[0].lineno, node.body[0].col_offset))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT and not (tok.type == tokenize.STRING
+                                            and tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -106,9 +132,10 @@ def main_digest() -> int:
             print("bench --threads 2 records differ from the serial run's",
                   file=sys.stderr)
             return 1
-    lines = sum(path.read_bytes().count(b"\n")
-                for path in (SRC / "qaoabench").glob("*.py"))
+    sources = [path.read_text() for path in (SRC / "qaoabench").glob("*.py")]
+    lines = sum(source.count("\n") for source in sources)
     print(f"src_lines {lines}")
+    print(f"code_lines {sum(map(code_lines, sources))}")
     return 0
 
 
