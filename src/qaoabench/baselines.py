@@ -125,12 +125,14 @@ def simplex_steps(x0: np.ndarray, budget: int):
             return
 
 
-def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaParams]:
+def multistart_collect(g: Graph, p: int, n_starts: int,
+                       seed: int) -> list[np.ndarray]:
     """Near-optimal parameter set for one instance and depth.
 
     Runs exact-mode Nelder-Mead (budget 200) from n_starts uniform points
     in lockstep and keeps each final point whose exact value reaches 99%
-    of the best value any start found.
+    of the best value any start found, as a list of wrapped (2p,)
+    vectors [betas, gammas].
     """
     if n_starts < 1:
         raise DomainError(f"n_starts must be >= 1, got {n_starts}")
@@ -140,5 +142,6 @@ def multistart_collect(g: Graph, p: int, n_starts: int, seed: int) -> list[QaoaP
         [MeteredObjective.for_graph(g, depth=p, budget=MULTISTART_BUDGET)
          for _ in starts], starts)
     best = max(r.best_value for r in results)
-    return [r.best_params for r in results if r.best_value >= 0.99 * best]
+    return [r.best_params.vector() for r in results
+            if r.best_value >= 0.99 * best]
 

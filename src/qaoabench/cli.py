@@ -27,7 +27,7 @@ from .artifacts import CURVE_SCHEMA, LANDSCAPE_SCHEMA, SSTAR_SCHEMA, \
 from .baselines import multistart_collect
 from .bench import BenchConfig, compute_metrics, export_report, \
     read_records, records_cut_values, run_bench, suite_cut_values, ROSTER
-from .engine import energy_p1, energy_rows, landscape_grid
+from .engine import energy, energy_p1, landscape_grid
 from .errors import ConfigError, QaoaBenchError
 from .graphs import group_of, instance_id, realize, spec_from_id, suite
 from .kde import kde_fit, kde_load, kde_save
@@ -215,10 +215,10 @@ def cmd_build_sstar(o) -> tuple:
             admitted = multistart_collect(
                 g, p, o.starts, derive_seed(o.seed, "sstar", iid, p))
             # one batch scores every admitted point: the closed form at
-            # p = 1 on contiguous angles, else the rows, wrapped already
-            rows = np.array([q.vector() for q in admitted])
+            # p = 1 on contiguous angles, else the statevector
+            rows = np.array(admitted)
             best = float(max(energy_p1(g, *rows.T.copy()) if p == 1
-                             else energy_rows(g, rows).mean))
+                             else energy(g, rows).mean))
             entries.append({"instance_id": iid, "p": p,
                             "admitted": rows.tolist(), "best_exact": best})
         path = write_json(out / f"sstar-p{p}.json", SSTAR_SCHEMA,

@@ -9,19 +9,21 @@ State layout is little-endian (qubit q = bit q of the index).  The state
 is the half state of `kernels`, the 2^(n-1) amplitudes with bit n - 1
 clear, normalised to 1; bit-flip symmetry fixes the rest (the full state
 is the half and its reversal, over sqrt(2)).  Energies and cut-level laws
-are sums over the half with no factor 2.  Angles wrap
-into [-pi, pi] on construction; the spectrum is integer-valued, so wrapping
-never changes an energy.  The half cut diagonal and the phase index belong
-to the graph (`Graph.cuts`, `Graph.phase_index`), so each instance builds
-them once however often it is evaluated.
+are sums over the half with no factor 2.  Angles wrap into [-pi, pi),
+and a wrapped angle wraps to its own bits; the spectrum is
+integer-valued, so wrapping never changes an energy.  The half cut
+diagonal and the phase index belong to the graph (`Graph.cuts`,
+`Graph.phase_index`), so each instance builds them once however often it
+is evaluated.
 
 `evolve` and `energy` take one QaoaParams or a (K, 2p) array of vectors
-[betas, gammas], wrapped like `QaoaParams` wraps them (`energy_rows`
-takes them wrapped already), which evolve together along the leading
-axis of the kernels, each with the values it would get alone, bit for
-bit.  The points share one Graph, whose index row and cut row every
-point reads, or each has its row of a `GraphStack` of same-n graphs: a
-lockstep round of many optimizer runs is one stacked evaluation per n.
+[betas, gammas], wrapped like `QaoaParams` wraps them, which evolve
+together along the leading axis of the kernels, each with the values it
+would get alone, bit for bit.  The points are on a `graphs.GraphStack`
+of same-n graphs, point k on its row of the stack: a lone Graph is its
+own one-row stack (`Graph.stack`), whose index and cut row every point
+reads, and a lockstep round of many optimizer runs is one stacked
+evaluation per n.
 
 The layers run in the frame of `kernels`: each entry is its amplitude
 over (-i)^pcm, pcm the popcount of the middle bits, so the mixer's middle
@@ -33,7 +35,6 @@ states: the same law, but not the same draws as a per-bitstring
 multinomial.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,21 +43,23 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, GraphStack
 from .seeding import point, stream_keys
 
 TWO_PI = 2.0 * math.pi
 
 
 def wrap_angles(x) -> np.ndarray:
-    """Map angles periodically into [-pi, pi)."""
+    """Map angles periodically into [-pi, pi); a wrapped angle wraps to
+    its own bits.  The second mod takes the 2 pi that the first rounds a
+    tiny negative x + pi up to, which would give +pi, to 0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.mod(x + math.pi, TWO_PI) - math.pi
+    return np.mod(np.mod(x + math.pi, TWO_PI), TWO_PI) - math.pi
 
 
 @dataclass(frozen=True, eq=False)
 class QaoaParams:
-    """The 2p variational angles; wraps into [-pi, pi] on construction."""
+    """The 2p variational angles; wraps into [-pi, pi) on construction."""
 
     betas: np.ndarray
     gammas: np.ndarray
@@ -86,15 +89,6 @@ class QaoaParams:
         vec = np.atleast_1d(np.asarray(vec, dtype=np.float64))
         return cls(vec[:len(vec) // 2], vec[len(vec) // 2:])
 
-    @classmethod
-    def of_row(cls, row) -> "QaoaParams":
-        """The wrapped vector `row`, not wrapped again, as views."""
-        params = object.__new__(cls)
-        p = len(row) // 2
-        object.__setattr__(params, "betas", row[:p])
-        object.__setattr__(params, "gammas", row[p:])
-        return params
-
 
 def _wrap_rows(params):
     """(wrapped (K, 2p) rows, one point?) of one QaoaParams, as it is, or
@@ -120,50 +114,18 @@ class Energy(NamedTuple):
         return Energy(float(self.mean[k]), float(self.stderr[k]))
 
 
-class GraphStack:
-    """Same-n graphs, one row each: `evolve` and `energy` on a stack take
-    point k on graph rows[k], by default graph k, as one kernel batch.  It
-    holds the graphs' cut rows and phase-index rows, the latter on the
-    common level stride max m + 1, so build it once and reuse it."""
-
-    def __init__(self, graphs):
-        self.graphs = tuple(graphs)
-        if not self.graphs:
-            raise DomainError("a graph stack needs at least one graph")
-        self.n = self.graphs[0].n
-        if any(g.n != self.n for g in self.graphs):
-            raise DomainError(f"stacked graphs must share n, got "
-                              f"{sorted({g.n for g in self.graphs})}")
-        self.sizes = [g.num_edges + 1 for g in self.graphs]
-        self.levels = max(self.sizes)
-        self.cuts = np.stack([g.cuts for g in self.graphs])
-        # each graph's own index, cut + size * pcm, restrided
-        self.index = np.stack([
-            g.cuts + self.levels * (g.phase_index // size)
-            for g, size in zip(self.graphs, self.sizes)])
-        self.rows = np.arange(len(self.graphs))
-
-    def on(self, rows) -> "GraphStack":
-        """This stack with point k on graph rows[k], sharing its arrays."""
-        stack = copy.copy(self)
-        stack.rows = np.asarray(rows, dtype=np.intp)
-        return stack
-
-
-def _layout(g, count: int):
-    """(n, levels, index rows, cut rows, point rows, per-point level
-    counts) of `g` for `count` points: one row of a Graph, which every
-    point shares, or the rows of a stack, point k on row `point rows[k]`.
-    Index rows count the cut levels with stride `levels`, the tables'."""
-    if isinstance(g, Graph):
-        levels = g.num_edges + 1
-        return (g.n, levels, g.phase_index[None], g.cuts[None], None,
-                [levels] * count)
-    if len(g.rows) != count:
-        raise DomainError(f"a stack of {len(g.rows)} graph rows takes one "
-                          f"point each, got {count}")
-    return (g.n, g.levels, g.index, g.cuts, g.rows,
-            [g.sizes[r] for r in g.rows])
+def _stacked(g, count: int):
+    """(stack, point rows) of `g` for `count` points: a Graph's own
+    one-row stack, or a GraphStack, with the row each point reads: row 0
+    for every point on a one-graph stack, else the stack's `rows`, which
+    must hold one per point."""
+    stack = g if isinstance(g, GraphStack) else g.stack
+    if len(stack.graphs) == 1:
+        return stack, np.zeros(count, dtype=np.intp)
+    if len(stack.rows) != count:
+        raise DomainError(f"a stack of {len(stack.rows)} graph rows takes "
+                          f"one point each, got {count}")
+    return stack, stack.rows
 
 
 def _rows(a, rows, lo: int, count: int):
@@ -205,14 +167,15 @@ def chunk_points(n: int) -> int:
     return max(1, kernels.SLICE >> (n - 1))
 
 
-def _frames(n: int, levels: int, index, rows, vecs):
+def _frames(stack, rows, vecs):
     """(first point, frames) of the wrapped rows `vecs`, in order, a chunk
     of `chunk_points(n)` at a time, so a batch's state stays cache-sized;
-    point k reads index row rows[k] (`_rows`)."""
-    step = chunk_points(n)
+    point k reads index row rows[k] of `stack` (`_rows`)."""
+    step = chunk_points(stack.n)
     for lo in range(0, len(vecs), step):
         chunk = vecs[lo:lo + step]
-        yield lo, _evolve_frame(n, levels, _rows(index, rows, lo, len(chunk)),
+        yield lo, _evolve_frame(stack.n, stack.levels,
+                                _rows(stack.index, rows, lo, len(chunk)),
                                 chunk)
 
 
@@ -221,13 +184,13 @@ def evolve(g, params) -> np.ndarray:
     the half state (2^(n-1) entries, normalised to 1), taken out of the
     frame by `kernels.amplitudes`.  `params` is one QaoaParams, or a
     (K, 2p) array of vectors for a (K, 2^(n-1)) array, row k for point k.
-    `g` is one Graph, or a GraphStack of K same-n graphs."""
+    `g` is one Graph, or a GraphStack of same-n graphs."""
     vecs, one = _wrap_rows(params)
-    n, levels, index, _, rows, _ = _layout(g, len(vecs))
-    amps = np.concatenate([f for _, f in _frames(n, levels, index, rows,
-                                                 vecs)])
-    amps = kernels.amplitudes(amps, n, _rows(index, rows, 0, len(vecs)),
-                              levels - 1)
+    stack, rows = _stacked(g, len(vecs))
+    amps = np.concatenate([f for _, f in _frames(stack, rows, vecs)])
+    amps = kernels.amplitudes(amps, stack.n,
+                              _rows(stack.index, rows, 0, len(vecs)),
+                              stack.levels - 1)
     return amps[0] if one else amps
 
 
@@ -257,25 +220,18 @@ def _laws(cuts, amps: np.ndarray, levels: int) -> np.ndarray:
 
 
 def energy(g, params, shots: int | None = None, rng=None) -> Energy:
-    """Exact expected cut size, or the mean of `shots` measurements drawn
-    with `rng`: an Energy of floats for one QaoaParams, of (K,) arrays for
-    a (K, 2p) array, with an iterable of K generators (`energy_rows`)."""
-    vecs, one = _wrap_rows(params)
-    value = energy_rows(g, vecs, shots, [rng] if one else rng)
-    return value.point() if one else value
-
-
-def energy_rows(g, vecs: np.ndarray, shots: int | None = None,
-                rngs=None) -> Energy:
-    """`energy` of the wrapped (K, 2p) rows `vecs`, not wrapped again.
-    Every statevector energy in the package is computed here.
+    """Exact expected cut size, or the mean of `shots` measurements: an
+    Energy of floats for one QaoaParams, drawn with the generator `rng`,
+    or of (K,) arrays for a (K, 2p) array, drawn with an iterable `rng`
+    of K generators.  Every statevector energy in the package is
+    computed here.
 
     `g` is one Graph for every point, or a GraphStack of same-n graphs,
-    point k on graph rows[k] of the stack.  Sampled, `rngs` is an
-    iterable of K generators, taken in order, point k's draws made before
-    generator k + 1 is taken (so one generator re-pointed per point
-    serves).  The points evolve together, `_frames` chunks at a time, and
-    each gets the value it would get alone, bit for bit.
+    point k on graph rows[k] of the stack.  Sampled, the generators are
+    taken in order, point k's draws made before generator k + 1 is taken
+    (so one generator re-pointed per point serves).  The points evolve
+    together, `_frames` chunks at a time, and each gets the value it
+    would get alone, bit for bit.
 
     A measurement enters the estimate only through its cut size, so the
     shots are one multinomial draw over the m + 1 cut levels of the
@@ -285,12 +241,15 @@ def energy_rows(g, vecs: np.ndarray, shots: int | None = None,
     if shots is not None and shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}; "
                           f"shots=None is exact")
-    n, levels, index, cuts, rows, sizes = _layout(g, len(vecs))
-    rngs = None if shots is None else iter(() if rngs is None else rngs)
+    vecs, one = _wrap_rows(params)
+    stack, rows = _stacked(g, len(vecs))
+    if one:
+        rng = [rng]
+    rngs = None if shots is None else iter(() if rng is None else rng)
     means, stderrs = np.zeros(len(vecs)), np.zeros(len(vecs))
-    for lo, amps in _frames(n, levels, index, rows, vecs):
+    for lo, amps in _frames(stack, rows, vecs):
         hi = lo + len(amps)
-        chunk_cuts = _rows(cuts, rows, lo, len(amps))
+        chunk_cuts = _rows(stack.cuts, rows, lo, len(amps))
         if shots is None:
             # a sum reduces pairwise within a slice, which keeps the error
             # well under 1e-10 even for 2^20 terms; np.dot would go
@@ -301,11 +260,12 @@ def energy_rows(g, vecs: np.ndarray, shots: int | None = None,
             means[lo:hi] = chunk
         else:
             means[lo:hi], stderrs[lo:hi] = _sampled_chunk(
-                _laws(chunk_cuts, amps, levels), sizes[lo:hi], shots, rngs,
-                lo)
+                _laws(chunk_cuts, amps, stack.levels),
+                stack.sizes[rows[lo:hi]].tolist(), shots, rngs, lo)
         # free this chunk's states before the next chunk evolves
         del amps
-    return Energy(means, stderrs)
+    value = Energy(means, stderrs)
+    return value.point() if one else value
 
 
 def _sampled_chunk(laws: np.ndarray, sizes, shots: int, rngs, lo: int):

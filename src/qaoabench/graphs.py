@@ -1,4 +1,5 @@
-"""Max-Cut instance graphs: types, the four generators, suites, brute force.
+"""Max-Cut instance graphs: types, the four generators, suites, brute force,
+and the stacked cut and phase-index rows the simulator evaluates on.
 
 All generators are deterministic: the random class draws from a named Philox
 substream keyed by (seed, n, edge probability), so suite contents are frozen
@@ -6,6 +7,7 @@ across platforms.  Vertices are 0..n-1 and every edge is stored as (u, v)
 with u < v.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,6 +77,53 @@ class Graph:
         """`kernels.phase_index` of the cut diagonal, length 2^(n-1)
         (int32), built on first use and kept for the graph's lifetime."""
         return kernels.phase_index(self.n, self.cuts, self.num_edges)
+
+    @cached_property
+    def stack(self) -> "GraphStack":
+        """This graph as a one-row GraphStack, whose rows are views of
+        `cuts` and `phase_index`, built on first use and kept."""
+        return GraphStack([self])
+
+
+class GraphStack:
+    """Same-n graphs, one row each: `engine.evolve` and `engine.energy`
+    on a stack take point k on graph rows[k], by default graph k, as one
+    kernel batch, and on a one-graph stack take every point on its row.
+    It holds the graphs' cut rows and phase-index rows, the latter on the
+    common level stride max m + 1, so build it once and reuse it.  A
+    graph's own index is on its own stride, so a graph of the most edges
+    keeps it as it is, and a one-graph stack holds views of its arrays."""
+
+    def __init__(self, graphs):
+        self.graphs = tuple(graphs)
+        if not self.graphs:
+            raise DomainError("a graph stack needs at least one graph")
+        self.n = self.graphs[0].n
+        if any(g.n != self.n for g in self.graphs):
+            raise DomainError(f"stacked graphs must share n, got "
+                              f"{sorted({g.n for g in self.graphs})}")
+        sizes = [g.num_edges + 1 for g in self.graphs]
+        self.sizes = np.array(sizes)
+        self.levels = max(sizes)
+        self.cuts = _as_rows([g.cuts for g in self.graphs])
+        # each graph's own index, cut + size * pcm, restrided
+        self.index = _as_rows([
+            g.phase_index if size == self.levels
+            else g.cuts + self.levels * (g.phase_index // size)
+            for g, size in zip(self.graphs, sizes)])
+        self.rows = np.arange(len(self.graphs))
+
+    def on(self, rows) -> "GraphStack":
+        """This stack with point k on graph rows[k], sharing its arrays."""
+        stack = copy.copy(self)
+        stack.rows = np.asarray(rows, dtype=np.intp)
+        return stack
+
+
+def _as_rows(arrays) -> np.ndarray:
+    """The arrays as the rows of one array: a view of a lone array, else
+    a stacked copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 One model per circuit depth, fit on the pooled parameter sets of every
 training instance.  Density is an equal-weight mixture of isotropic
 Gaussians; sampling picks a center uniformly, perturbs with N(0, w^2 I),
-and wraps back into [-pi, pi]^d so a fixed budget is never wasted on
+and wraps back into [-pi, pi)^d so a fixed budget is never wasted on
 rejected draws.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import KDE_SCHEMA, read_json, write_json
-from .engine import QaoaParams, wrap_angles
+from .engine import wrap_angles
 from .errors import DomainError
 from .objective import MeteredObjective, OptResult
 from .seeding import stream_rng
@@ -42,8 +42,7 @@ class KdeModel:
 
 
 def _as_matrix(s_star) -> np.ndarray:
-    rows = [q.vector() if isinstance(q, QaoaParams) else np.asarray(q, float)
-            for q in s_star]
+    rows = [np.asarray(q, float) for q in s_star]
     if not rows:
         raise DomainError("cannot fit a density on an empty parameter set")
     d = rows[0].size
@@ -81,7 +80,7 @@ def kde_fit(s_star, bandwidth="auto") -> KdeModel:
 
 
 def sample_vectors(model: KdeModel, m: int, seed: int) -> np.ndarray:
-    """(m, d) array of mixture draws wrapped into [-pi, pi]^d."""
+    """(m, d) array of mixture draws wrapped into [-pi, pi)^d."""
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
     rng = stream_rng(seed, "kde-sample")

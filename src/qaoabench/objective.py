@@ -5,22 +5,22 @@ counts calls against a fixed budget, records a full trace, and refuses to
 evaluate once the budget is gone.  Attempt-level comparisons stay fair
 because nothing can sneak extra circuit evaluations.
 
-A call takes one point or a (K, 2p) array of K points, which evolve
-together (`engine.energy_rows`), charged as K evaluations and traced in
-order, with the same values, noise and trace as K single calls; random
-search and the KDE sampler spend their whole budget in one call.  Every
-metered energy goes through one request path, `Meter`, and `lockstep`
-drives many step-by-step optimizer runs through it, one call per round.
+Every objective meters the energy of one graph.  A call takes one point
+or a (K, 2p) array of K points, which evolve together (`engine.energy`),
+charged as K evaluations and traced in order, with the same values,
+noise and trace as K single calls; random search and the KDE sampler
+spend their whole budget in one call.  Every metered energy goes through
+one request path, `Meter`, and `lockstep` drives many step-by-step
+optimizer runs through it, one call per round.
 """
 
 import contextlib
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .engine import Energy, GraphStack, QaoaParams, chunk_points, \
-    energy, energy_rows, wrap_angles
+from .engine import Energy, GraphStack, QaoaParams, chunk_points, energy, \
+    wrap_angles
 from .errors import BudgetExhaustedError, DomainError
 from .graphs import Graph
 from .seeding import point, stream_keys
@@ -33,11 +33,11 @@ class OptResult:
     best_params: QaoaParams
     best_value: float        # noisy value seen by the optimizer
     evals_used: int
-    best_exact: float | None = None   # exact re-score, never budget-counted
+    best_exact: float        # exact re-score, never budget-counted
 
 
 class MeteredObjective:
-    """Callable energy oracle with a hard evaluation budget.
+    """Callable energy oracle of graph `g` with a hard evaluation budget.
 
     `shots=None` evaluates exactly; otherwise evaluation i draws the
     substream (seed, "metered", i) of `seed`, whether it came alone or in
@@ -48,11 +48,12 @@ class MeteredObjective:
     on the first sampled evaluation.
 
     The trace is row i < `calls` of `points` (budget, 2p), `means` and
-    `stderrs`: evaluation i's wrapped point and Energy.  `fn(vecs, shots,
-    rngs)` is `engine.energy_rows` without its graph.
+    `stderrs`: evaluation i's wrapped point and Energy.  Construction
+    touches `g.cuts`, so a graph past the size cap fails here, before any
+    evaluation.
     """
 
-    def __init__(self, fn, budget: int, depth: int = 1,
+    def __init__(self, g: Graph, depth: int, budget: int,
                  shots: int | None = None, seed: int = 0):
         if budget < 1:
             raise DomainError(f"budget must be >= 1, got {budget}")
@@ -60,8 +61,8 @@ class MeteredObjective:
             raise DomainError(f"shots must be >= 1 or None, got {shots}")
         if depth < 1:
             raise DomainError(f"depth must be >= 1, got {depth}")
-        self._fn = fn
-        self.graph = None
+        g.cuts
+        self.graph = g
         self.budget = budget
         self.depth = depth
         self.shots = shots
@@ -77,23 +78,8 @@ class MeteredObjective:
     @classmethod
     def for_graph(cls, g: Graph, depth: int, budget: int,
                   shots: int | None = None, seed: int = 0) -> "MeteredObjective":
-        """Meter the energy of `g`.  Touches `g.cuts`, so a graph past the
-        size cap fails here, before any evaluation."""
-        g.cuts
-        obj = cls(partial(energy_rows, g), budget, depth=depth, shots=shots,
-                  seed=seed)
-        obj.graph = g
-        return obj
-
-    @classmethod
-    def for_function(cls, fn, budget: int, depth: int = 1) -> "MeteredObjective":
-        """Meter an arbitrary QaoaParams -> float map (test hook)."""
-
-        def wrapped(vecs, shots_, rngs) -> Energy:
-            return Energy(np.array([float(fn(QaoaParams.of_row(row)))
-                                    for row in vecs]), np.zeros(len(vecs)))
-
-        return cls(wrapped, budget, depth=depth, shots=None, seed=0)
+        """Meter the energy of `g` (the constructor, by name)."""
+        return cls(g, depth, budget, shots, seed)
 
     @property
     def remaining(self) -> int:
@@ -105,7 +91,7 @@ class MeteredObjective:
         batch larger than `remaining` is refused whole, uncharged."""
         one = isinstance(points, QaoaParams)
         value = _ALONE._evaluate([(self, points.vector()[None] if one
-                                   else points)], wrapped=one)[0]
+                                   else points)])[0]
         return value.point() if one else value
 
     def _stream(self, i: int):
@@ -115,11 +101,8 @@ class MeteredObjective:
                                      self.budget).tolist()
         return point(self._rng, self._keys[i])
 
-    def exact_value(self, params: QaoaParams) -> float | None:
-        """Exact energy at `params`, outside the budget; None for
-        `for_function` objectives, which have no graph."""
-        if self.graph is None:
-            return None
+    def exact_value(self, params: QaoaParams) -> float:
+        """Exact energy at `params`, outside the budget."""
         return energy(self.graph, params).mean
 
     def best_row(self, since: int = 0) -> int:
@@ -131,33 +114,35 @@ class MeteredObjective:
     def result(self, since: int = 0) -> OptResult:
         """Best-ever point from trace row `since` on (`best_row`).
 
-        Every optimizer run ends here.  `best_exact` is the metered value
-        itself in exact mode and an exact re-score in sampled mode.
+        Every optimizer run ends here.  `best_params` wraps the stored
+        row to its own bits.  `best_exact` is the metered value itself in
+        exact mode and an exact re-score in sampled mode.
         """
         best = self.best_row(since)
-        res = OptResult(best_params=QaoaParams.of_row(self.points[best]),
-                        best_value=float(self.means[best]),
-                        evals_used=self.calls - since)
-        res.best_exact = (res.best_value if self.shots is None
-                          else self.exact_value(res.best_params))
-        return res
+        params = QaoaParams.from_vector(self.points[best])
+        value = float(self.means[best])
+        return OptResult(best_params=params, best_value=value,
+                         evals_used=self.calls - since,
+                         best_exact=(value if self.shots is None
+                                     else self.exact_value(params)))
 
 
 class Meter:
     """The metered request path: a call takes requests (objective, (k, 2p)
-    array of vectors) and returns an Energy per request.  It checks
-    every budget first, evaluates the graph requests of one (n, shots) as
-    one stacked `energy_rows` call, the points of one graph on its row,
-    then charges, traces and gives noise to each objective in order, as
-    if called alone.  Stacks are built once, of the graphs of `objs`,
-    where a kernel chunk holds more than one state (n <= 14).  A call
-    with one request is that objective's own call."""
+    array of vectors) and returns an Energy per request.  It checks every
+    budget first, then makes one `engine.energy` call per (n, shots)
+    group: on a stack of the group's graphs, the points of one graph on
+    its row, or, for a graph with no stack, on its own one-row stack
+    (`Graph.stack`).  Then it charges, traces and gives noise to each
+    objective in order, as if called alone.  Stacks are built once, of
+    the graphs of `objs`, where a kernel chunk holds more than one state
+    (n <= 14).  A call with one request is that objective's own call."""
 
     def __init__(self, objs=()):
         groups = {}
         for obj in objs:
             g = obj.graph
-            if g is not None and chunk_points(g.n) > 1:
+            if chunk_points(g.n) > 1:
                 groups.setdefault((g.n, obj.shots), {})[id(g)] = g
         self._stacks, self._rows = {}, {}
         for key, graphs in groups.items():
@@ -173,10 +158,9 @@ class Meter:
             return [obj(points)]
         return self._evaluate(requests)
 
-    def _evaluate(self, requests, wrapped=False) -> list:
+    def _evaluate(self, requests) -> list:
         """`__call__` without the one-request shortcut.  A group's points
-        are wrapped together, elementwise like `QaoaParams` wraps them,
-        unless they come `wrapped`."""
+        are wrapped together, elementwise like `QaoaParams` wraps them."""
         requests = [(obj, np.asarray(points, dtype=np.float64))
                     for obj, points in requests]
         if len({id(obj) for obj, _ in requests}) < len(requests):
@@ -191,25 +175,22 @@ class Meter:
                     f"left of a budget of {obj.budget}")
         values = [None] * len(requests)
         groups = {}
-        for k, (obj, vecs) in enumerate(requests):
-            g = obj.graph
-            key = (None, id(obj)) if g is None else (g.n, obj.shots, id(g))
+        for k, (obj, _) in enumerate(requests):
+            key = (obj.graph.n, obj.shots, id(obj.graph))
             groups.setdefault(key[:2] if key in self._rows else key,
                               []).append(k)
         for key, members in groups.items():
             batch = [requests[k] for k in members]
-            fn, shots = batch[0][0]._fn, batch[0][0].shots
+            g, shots = batch[0][0].graph, batch[0][0].shots
             if key in self._stacks:
-                fn = partial(energy_rows, self._stacks[key].on(np.repeat(
+                g = self._stacks[key].on(np.repeat(
                     [self._rows[key + (id(obj.graph),)] for obj, _ in batch],
-                    [len(vecs) for _, vecs in batch])))
+                    [len(vecs) for _, vecs in batch]))
             rngs = None if shots is None else (
                 obj._stream(obj.calls + i)
                 for obj, vecs in batch for i in range(len(vecs)))
-            rows = np.concatenate([vecs for _, vecs in batch])
-            if not wrapped:
-                rows = wrap_angles(rows)
-            out = fn(rows, shots, rngs)
+            rows = wrap_angles(np.concatenate([vecs for _, vecs in batch]))
+            out = energy(g, rows, shots, rngs)
             at = 0
             for k, (_, vecs) in zip(members, batch):
                 part = slice(at, at + len(vecs))

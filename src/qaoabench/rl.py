@@ -421,8 +421,7 @@ def rl_optimize_all(objs, bundle: PolicyBundle, seeds,
             f"got {budget}")
     # a-priori constants like in training; not counted against the budget
     normalizers = [
-        1.0 if obj.graph is None else reward_normalizer(
-            obj.graph, p, seed=derive_seed(seed, "norm"))
+        reward_normalizer(obj.graph, p, seed=derive_seed(seed, "norm"))
         for obj, seed in zip(objs, seeds)]
     since = [obj.calls for obj in objs]
     walk = Walk(objs, seeds, normalizers, starts)

@@ -24,6 +24,9 @@ from qaoabench.rl import ACTION_BOUND, Walk
 from qaoabench.seeding import stream_rng
 
 
+K2 = Graph(2, ((0, 1),))
+
+
 def _points(rng, p, count):
     """(count, 2p) raw vectors and the QaoaParams of each."""
     vecs = rng.uniform(-4.0, 4.0, (count, 2 * p))
@@ -51,15 +54,22 @@ def _point_by_point(values):
 
 def test_batched_energy_equals_single_energies_bit_for_bit():
     # a (K, 2p) array against the same points one QaoaParams at a time,
-    # on a Graph and on a GraphStack, exact and sampled, over two kernel
-    # chunks and part of a third
+    # on a Graph, on its one-row stack and on a GraphStack, exact and
+    # sampled, over two kernel chunks and part of a third
     rng = np.random.default_rng(15)
     for n in (3, 6, 9, 12):
         graphs = [random_graph(rng, n, n) for _ in range(3)]
         vecs, points = _points(rng, 2,
                                2 * max(1, kernels.SLICE >> (n - 1)) + 3)
         rows = np.arange(len(points)) % len(graphs)
+        # a lone graph's stack is built once and reads the graph's own
+        # arrays, not copies
+        lone = graphs[0].stack
+        assert graphs[0].stack is lone
+        assert np.shares_memory(lone.cuts, graphs[0].cuts)
+        assert np.shares_memory(lone.index, graphs[0].phase_index)
         for g, on in ((graphs[0], [0] * len(points)),
+                      (lone, [0] * len(points)),
                       (GraphStack(graphs).on(rows), rows)):
             for shots in (None, 1000):
                 keys = range(len(points)) if shots else ()
@@ -68,6 +78,8 @@ def test_batched_energy_equals_single_energies_bit_for_bit():
                 assert _point_by_point(batch) == [
                     energy(graphs[r], q, shots, stream_rng(3, "batch", k))
                     for k, (r, q) in enumerate(zip(on, points))], (n, shots)
+            for row, r, q in zip(evolve(g, vecs), on, points):
+                np.testing.assert_array_equal(row, evolve(graphs[r], q))
 
 
 @pytest.mark.parametrize("shots", [None, 64])
@@ -118,13 +130,15 @@ def test_over_budget_batch_is_refused_whole():
         obj(np.zeros(2))
 
 
-def test_for_function_objectives_accept_batches():
-    def fn(q):
-        return -float(np.sum(q.vector() ** 2))
-
-    obj = MeteredObjective.for_function(fn, budget=10, depth=1)
-    values = obj(np.array([[0.5, 0.0], [0.0, 7.0]]))
-    assert values.mean.tolist() == [-0.25, -float((7.0 - 2 * math.pi) ** 2)]
+def test_objectives_accept_batches_of_any_length():
+    # K2's energy 1/2 + 1/2 sin(4 beta) sin(gamma) peaks at (pi/8, pi/2)
+    obj = MeteredObjective.for_graph(K2, depth=1, budget=10)
+    vecs = np.array([[math.pi / 8, math.pi / 2], [0.1, 7.0]])
+    values = obj(vecs)
+    assert values.mean.tolist() == [
+        energy(K2, QaoaParams.from_vector(vec)).mean for vec in vecs]
+    assert values.mean[0] == pytest.approx(1.0)
+    assert obj.points[1].tolist() == pytest.approx([0.1, 7.0 - 2 * math.pi])
     assert values.stderr.tolist() == [0.0, 0.0]
     assert obj.calls == 2
     assert obj(np.zeros((0, 2))).mean.size == 0 and obj.calls == 2
@@ -236,19 +250,9 @@ def test_graph_stacks_refuse_mixed_n_and_other_counts():
         energy(stack, np.zeros((3, 2)))
 
 
-def _objective(g, p, shots, seed, budget):
-    if g is None:
-        def fn(q):
-            return -float(np.sum(q.vector() ** 2))
-
-        return MeteredObjective.for_function(fn, budget=budget, depth=p)
-    return MeteredObjective.for_graph(g, depth=p, budget=budget,
-                                      shots=shots, seed=seed)
-
-
 def _walks(graphs, p, shots, steps):
-    """A walk over `graphs` (None for a `for_function` objective) and the
-    one-row walks of each graph, all given the same fixed actions."""
+    """A walk over `graphs` and the one-row walks of each graph, all given
+    the same fixed actions."""
     rng = np.random.default_rng(19)
     actions = rng.uniform(-ACTION_BOUND, ACTION_BOUND,
                           (steps, len(graphs), 2 * p))
@@ -256,7 +260,9 @@ def _walks(graphs, p, shots, steps):
     norms = [1.0 + 0.5 * e for e in range(len(graphs))]
 
     def objs(rows):
-        return [_objective(graphs[e], p, shots, 40 + e, steps + 1)
+        return [MeteredObjective.for_graph(graphs[e], depth=p,
+                                           budget=steps + 1, shots=shots,
+                                           seed=40 + e)
                 for e in rows]
 
     stacked = Walk(objs(range(len(graphs))), seeds, norms)
@@ -292,10 +298,9 @@ def test_stacked_walk_equals_one_row_walks(p, shots):
 
 @pytest.mark.parametrize("shots", [None, 64])
 def test_mixed_walk_equals_one_row_walks(shots):
-    # two n's, a graph-less objective between them
+    # two n's, the one graph at n = 8 on its own one-row stack
     rng = np.random.default_rng(22)
-    graphs = [_graph(rng, 5, 6), _graph(rng, 8, 11), None,
-              _graph(rng, 5, 3)]
+    graphs = [_graph(rng, 5, 6), _graph(rng, 8, 11), _graph(rng, 5, 3)]
     _assert_walks_agree(*_walks(graphs, 2, shots, steps=5))
 
 

@@ -22,7 +22,6 @@ from qaoabench.bench import (
     run_bench,
     suite_cut_values,
 )
-from qaoabench.engine import QaoaParams
 from qaoabench.errors import ConfigError, DomainError
 from qaoabench.graphs import group_of, instance_id
 from qaoabench.kde import kde_fit
@@ -116,8 +115,7 @@ def test_run_bench_threads_match_serial(test_set):
     by_id = {instance_id(spec): (spec, g) for spec, g in test_set}
     items = [by_id[i] for i in ("L-n2", "B-n3", "C-2x3", "L-n3")]
     roster = ("random", "nm", "kde", "rl")
-    models = {"kde": {1: kde_fit([QaoaParams([0.4], [1.5]),
-                                  QaoaParams([0.35], [1.2])])},
+    models = {"kde": {1: kde_fit([[0.4, 1.5], [0.35, 1.2]])},
               "rl": {1: init_policy(1, seed=3)}}
     for shots in (None, 1024):
         cfg = BenchConfig(depths=(1,), budget=24, attempts=2, shots=shots,
@@ -139,8 +137,7 @@ def test_learned_roster_needs_models(tiny_suite):
 
 
 def test_learned_roster_runs_within_budget(tiny_suite):
-    model = kde_fit([QaoaParams([0.4], [1.5]), QaoaParams([0.35], [1.2]),
-                     QaoaParams([0.5], [1.6])])
+    model = kde_fit([[0.4, 1.5], [0.35, 1.2], [0.5, 1.6]])
     bundle = init_policy(1, seed=0)
     cfg = BenchConfig(depths=(1,), budget=16, attempts=1, shots=64,
                       roster=("kde", "rl"), seed=2)

@@ -35,6 +35,34 @@ def test_wrap_angles_range():
     assert wrapped[0] == 0.0
     assert wrapped[1] == -math.pi  # +pi folds onto -pi
     np.testing.assert_allclose(wrapped[3], -math.pi)
+    # x + pi rounds to a tiny negative number, which np.mod rounds up to
+    # 2 pi: that reads -pi, not +pi
+    assert wrap_angles(-math.pi - 4.5e-16) == -math.pi
+    assert QaoaParams([-math.pi - 4.5e-16], [0.0]).betas[0] == -math.pi
+
+
+def _ulps(x: float, count: int) -> float:
+    """x moved by `count` units in the last place."""
+    for _ in range(abs(count)):
+        x = float(np.nextafter(x, math.copysign(math.inf, count)))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.floats(-1e4, 1e4),
+    # tiny values, subnormals included
+    st.floats(-1e-290, 1e-290),
+    # a few units in the last place either side of an odd multiple of
+    # pi, the seam, and of 0
+    st.builds(lambda k, d: _ulps((2 * k + 1) * math.pi, d),
+              st.integers(-20, 19), st.integers(-6, 6)),
+    st.builds(lambda d: _ulps(0.0, d), st.integers(-6, 6))))
+def test_wrap_angles_is_idempotent(x):
+    once = wrap_angles(x)
+    assert wrap_angles(once).tobytes() == once.tobytes()
+    assert -math.pi <= once < math.pi
+    assert wrap_angles([x, once]).tobytes() == np.array([once, once]).tobytes()
 
 
 def test_params_wrap_on_construction():

@@ -8,7 +8,7 @@ from scipy import stats
 
 from conftest import grid_oracle_best, kde_density, kde_sample
 from qaoabench.baselines import multistart_collect
-from qaoabench.engine import QaoaParams
+from qaoabench.engine import wrap_angles
 from qaoabench.errors import DomainError
 from qaoabench.graphs import Graph
 from qaoabench.kde import (
@@ -85,7 +85,7 @@ def test_model_validation():
 
 
 def test_fit_accepts_params_and_floors_bandwidth():
-    pts = [QaoaParams([0.2], [0.3])] * 5  # identical centers -> zero spread
+    pts = [[0.2, 0.3]] * 5  # identical centers -> zero spread
     m = kde_fit(pts)
     assert m.bandwidth == BANDWIDTH_FLOOR
     assert m.depth == 1
@@ -109,15 +109,15 @@ def test_fit_validation():
     with pytest.raises(DomainError):
         kde_fit([])
     with pytest.raises(DomainError):
-        kde_fit([QaoaParams([0.1], [0.2]), QaoaParams([0.1, 0.2], [0.3, 0.4])])
+        kde_fit([[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
     with pytest.raises(DomainError):
-        kde_fit([QaoaParams([0.1], [0.2])], bandwidth=-1.0)
+        kde_fit([[0.1, 0.2]], bandwidth=-1.0)
 
 
 def test_fit_is_order_insensitive():
     rng = np.random.default_rng(3)
-    pts = [QaoaParams(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-           for _ in range(10)]
+    # the centers wrapped, as parameter vectors come
+    pts = list(wrap_angles(rng.uniform(-1, 1, (10, 2))))
     a = kde_fit(pts)
     b = kde_fit(pts[::-1])
     assert a.bandwidth == b.bandwidth

@@ -22,12 +22,9 @@ def _items(test_set, ids):
     return [by_id[i] for i in ids]
 
 
-def _linear(q):
-    return float(np.sum(q.vector()))
-
-
-def _flat(q):
-    return 1.0
+# K2 = one edge: energy 1/2 + 1/2 sin(4 beta) sin(gamma); an edgeless
+# graph: energy 0 everywhere
+K2, EDGELESS = Graph(2, ((0, 1),)), Graph(2, ())
 
 
 # (objective factory, start, what ends the run); each factory makes a
@@ -36,17 +33,18 @@ def _runs(test_set):
     (_, l3), (_, b3), (_, l2) = _items(test_set, ("L-n3", "B-n3", "L-n2"))
     start = QaoaParams([-2.0], [-2.0])
     return [
-        # uphill everywhere: every reflection beats the best point, and
-        # the budget ends where its expansion is due
-        (lambda: MeteredObjective.for_function(_linear, 3 + 2 * 3 + 1),
-         start, "expand"),
+        # uphill from (-3, -3): every reflection beats the best point, and
+        # the budget ends on a new best
+        (lambda: MeteredObjective.for_graph(K2, depth=1, budget=10),
+         QaoaParams([-3.0], [-3.0]), "expand"),
         # flat: every step rejects its reflection and contraction and
         # shrinks; 3 + 2 + 1 ends one point into a shrink batch of 2
-        (lambda: MeteredObjective.for_function(_flat, 3 + 2 + 1), start,
-         "shrink"),
-        # flat with room: 12 shrinks bring the diameter under NM_DIAMETER_TOL
-        (lambda: MeteredObjective.for_function(_flat, 100), start,
-         "diameter"),
+        (lambda: MeteredObjective.for_graph(EDGELESS, depth=1, budget=6),
+         start, "shrink"),
+        # flat with room: shrinks bring the diameter under NM_DIAMETER_TOL
+        # after 51 evaluations
+        (lambda: MeteredObjective.for_graph(EDGELESS, depth=1, budget=100),
+         start, "diameter"),
         (lambda: MeteredObjective.for_graph(l3, depth=1, budget=400), start,
          "diameter"),
         (lambda: MeteredObjective.for_graph(b3, depth=1, budget=40,
@@ -163,7 +161,7 @@ def test_multistart_collect_equals_a_loop_over_starts(test_set):
         want = [r.best_params.vector().tolist() for r in results
                 if r.best_value >= 0.99 * best]
         got = multistart_collect(g, p, 6, seed=9)
-        assert [q.vector().tolist() for q in got] == want
+        assert [vec.tolist() for vec in got] == want
 
 
 def _ring(n, chord):

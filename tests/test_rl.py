@@ -113,7 +113,7 @@ def test_env_reset_shape_and_cost():
     assert walk.history.shape == (1, HISTORY_LEN, 3)
     assert np.all(walk.history == 0.0)
     assert walk.states.shape == (1, 12)
-    assert walk.f[0] == energy(K2, QaoaParams.of_row(obj.points[0])).mean
+    assert walk.f[0] == energy(K2, QaoaParams.from_vector(obj.points[0])).mean
 
 
 def test_env_reset_deterministic_and_start_override():
